@@ -145,6 +145,34 @@ mod tests {
         }
     }
 
+    /// Golden learned model: every fitted `a, b, c` of the bootstrap at
+    /// the experiment seed must stay bit-identical across refactors of
+    /// the knowledge base (profile storage, fit order, lazy RDF view).
+    #[test]
+    fn golden_learned_model_bits() {
+        // `scan_bench::EXPERIMENT_SEED`, the seed of the paper-figure runs.
+        let mut rng = SimRng::from_seed_u64(0x5CA4_2015);
+        let b = DataBroker::bootstrap(&PipelineModel::paper(), 0.02, &mut rng);
+        let bits: Vec<[u64; 3]> = b
+            .learned_model()
+            .stages
+            .iter()
+            .map(|s| [s.a.to_bits(), s.b.to_bits(), s.c.to_bits()])
+            .collect();
+        println!("golden learned model: {bits:?}");
+        assert_eq!(bits, GOLDEN_LEARNED_MODEL_BITS);
+    }
+
+    const GOLDEN_LEARNED_MODEL_BITS: [[u64; 3]; 7] = [
+        [4600192794878716284, 4617741752919436698, 4606211210110055040],
+        [4613234131593557248, 13825217938702460384, 4582400803691577741],
+        [4610539051189740427, 4616034054489685772, 4604391288278094530],
+        [4614623465290423675, 4604923860763060096, 4605311688140383960],
+        [4607388454505840259, 4625680955386829061, 4606375278558119467],
+        [4581276111647515465, 4600705380820399045, 4597983505857491549],
+        [4569727524503631770, 4617504176777799450, 4584049946211143328],
+    ];
+
     #[test]
     fn register_job_creates_shards() {
         let mut b = broker(0.0);

@@ -271,6 +271,40 @@ const GOLDEN_COST_BITS: u64 = 4685544889200563958;
 const GOLDEN_MEAN_LATENCY_BITS: u64 = 4625447817232181644;
 const GOLDEN_EVENTS: u64 = 13611;
 
+/// Golden fixed-seed long-term-adaptive run: the only configuration that
+/// ingests live task logs into the knowledge base (`ingest_log`) and
+/// re-fits the stage models (`refresh_model`) inside the event loop, so
+/// it pins the incremental KB path the bootstrap golden above does not.
+#[test]
+fn golden_adaptive_fixed_seed_metrics() {
+    let mut cfg = short_config(ScalingPolicy::Predictive, 2.5);
+    cfg.variable.allocation = AllocationPolicy::LongTermAdaptive;
+    let m = run(cfg);
+    println!(
+        "golden adaptive: submitted={} completed={} reward={:?} cost={:?} mean_latency={:?} \
+         events={}",
+        m.jobs_submitted,
+        m.jobs_completed,
+        m.total_reward.to_bits(),
+        m.total_cost.to_bits(),
+        m.mean_latency.to_bits(),
+        m.events
+    );
+    assert_eq!(m.jobs_submitted, GOLDEN_ADAPTIVE_SUBMITTED);
+    assert_eq!(m.jobs_completed, GOLDEN_ADAPTIVE_COMPLETED);
+    assert_eq!(m.total_reward.to_bits(), GOLDEN_ADAPTIVE_REWARD_BITS);
+    assert_eq!(m.total_cost.to_bits(), GOLDEN_ADAPTIVE_COST_BITS);
+    assert_eq!(m.mean_latency.to_bits(), GOLDEN_ADAPTIVE_MEAN_LATENCY_BITS);
+    assert_eq!(m.events, GOLDEN_ADAPTIVE_EVENTS);
+}
+
+const GOLDEN_ADAPTIVE_SUBMITTED: u64 = 404;
+const GOLDEN_ADAPTIVE_COMPLETED: u64 = 382;
+const GOLDEN_ADAPTIVE_REWARD_BITS: u64 = 4688757344006994194;
+const GOLDEN_ADAPTIVE_COST_BITS: u64 = 4685554323444772842;
+const GOLDEN_ADAPTIVE_MEAN_LATENCY_BITS: u64 = 4625298980344445381;
+const GOLDEN_ADAPTIVE_EVENTS: u64 = 12973;
+
 /// Golden fixed-seed *trace*: the full JSONL event stream of a session
 /// must stay byte-identical across refactors — a much stronger check than
 /// the aggregate metrics above, since it pins the order and payload of

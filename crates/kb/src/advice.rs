@@ -20,7 +20,9 @@ use crate::profile::ProfileRecord;
 use crate::regression::{amdahl_fit, linear_fit};
 use crate::sparql::parse_query;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Sharding advice for one application's input data.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -79,44 +81,114 @@ pub const DEFAULT_CHUNK_GB: f64 = 2.0;
 const MIN_CHUNK_GB: f64 = 0.25;
 const MAX_CHUNK_GB: f64 = 16.0;
 
-/// The SCAN knowledge base: an [`Ontology`] plus the decision layer.
-#[derive(Debug, Clone)]
-pub struct KnowledgeBase {
-    ontology: Ontology,
+/// Ingested profiles as columns, in ingestion order. The stage fits read
+/// these columns; the RDF view is replayed from them on first query.
+#[derive(Debug, Clone, Default)]
+struct ProfileTable {
+    /// Distinct application names; the `app` column indexes into it.
+    apps: Vec<Cow<'static, str>>,
+    app: Vec<u32>,
+    stage: Vec<u32>,
+    input_gb: Vec<f64>,
+    threads: Vec<u32>,
+    ram_gb: Vec<f64>,
+    e_time: Vec<f64>,
 }
 
-impl Default for KnowledgeBase {
-    fn default() -> Self {
-        Self::new()
+impl ProfileTable {
+    fn push(&mut self, rec: &ProfileRecord) {
+        let app = match self.apps.iter().position(|a| *a == rec.application) {
+            Some(i) => i,
+            None => {
+                self.apps.push(rec.application.clone());
+                self.apps.len() - 1
+            }
+        };
+        self.app.push(app as u32);
+        self.stage.push(rec.stage);
+        self.input_gb.push(rec.input_gb);
+        self.threads.push(rec.threads);
+        self.ram_gb.push(rec.ram_gb);
+        self.e_time.push(rec.e_time);
     }
+
+    fn len(&self) -> usize {
+        self.app.len()
+    }
+
+    fn record(&self, row: usize) -> ProfileRecord {
+        ProfileRecord {
+            application: self.apps[self.app[row] as usize].clone(),
+            stage: self.stage[row],
+            input_gb: self.input_gb[row],
+            threads: self.threads[row],
+            ram_gb: self.ram_gb[row],
+            e_time: self.e_time[row],
+        }
+    }
+
+    /// Rows that [`Ontology::profiles_of`]`(class)` reads back from the
+    /// view, in ingestion order: rows of `class` itself or of any schema
+    /// subclass of it, and every row for `Application`, which
+    /// [`Ontology::ingest_profile`] also types each individual as.
+    fn rows_of<'a>(&'a self, class: &str) -> impl Iterator<Item = usize> + 'a {
+        let covered: Vec<bool> = self
+            .apps
+            .iter()
+            .map(|app| {
+                class == "Application"
+                    || std::iter::successors(Some(app.as_ref()), |c| Ontology::schema_superclass(c))
+                        .any(|c| c == class)
+            })
+            .collect();
+        (0..self.len()).filter(move |&row| covered[self.app[row] as usize])
+    }
+}
+
+/// The SCAN knowledge base: ingested profiles plus the decision layer.
+///
+/// Profiles live in a columnar table that the stage fits read directly.
+/// The [`Ontology`] view (schema plus one named individual per profile)
+/// is built on the first [`KnowledgeBase::ontology`] or
+/// [`KnowledgeBase::advise_chunk`] call and kept current by later
+/// ingests, so callers that only fit models never pay for it.
+#[derive(Debug, Clone, Default)]
+pub struct KnowledgeBase {
+    profiles: ProfileTable,
+    view: OnceLock<Ontology>,
 }
 
 impl KnowledgeBase {
     /// A knowledge base seeded with the SCAN schema (domain + cloud
     /// ontologies and linker) but no profiling instances.
     pub fn new() -> Self {
-        KnowledgeBase { ontology: Ontology::with_scan_schema() }
+        Self::default()
     }
 
-    /// Read access to the ontology.
+    /// Read access to the ontology: the SCAN schema plus every ingested
+    /// profile as a named individual, built on first access.
     pub fn ontology(&self) -> &Ontology {
-        &self.ontology
-    }
-
-    /// Mutable access to the ontology (tests, custom schema extensions).
-    pub fn ontology_mut(&mut self) -> &mut Ontology {
-        &mut self.ontology
+        self.view.get_or_init(|| {
+            let mut ontology = Ontology::with_scan_schema();
+            for row in 0..self.profiles.len() {
+                ontology.ingest_profile(&self.profiles.record(row));
+            }
+            ontology
+        })
     }
 
     /// Ingests a task log record ("the SCAN keeps the log information of
     /// each task scheduled to run in a cloud").
     pub fn ingest(&mut self, record: &ProfileRecord) {
-        self.ontology.ingest_profile(record);
+        self.profiles.push(record);
+        if let Some(ontology) = self.view.get_mut() {
+            ontology.ingest_profile(record);
+        }
     }
 
     /// Number of ingested profile individuals for `application`.
     pub fn profile_count(&self, application: &str) -> usize {
-        self.ontology.profiles_of(application).len()
+        self.profiles.rows_of(application).count()
     }
 
     /// Chunk-size advice for splitting `total_gb` of input for
@@ -140,16 +212,22 @@ impl KnowledgeBase {
              }} ORDER BY ASC(?t / ?size) LIMIT 25",
             ns = iri::SCAN_NS
         );
+        let ontology = self.ontology();
         let query = parse_query(&query_text).expect("advise_chunk query is well-formed");
-        let results = query.execute(self.ontology.store()).expect("query evaluates");
+        let results = query.execute(ontology.store()).expect("query evaluates");
 
-        // Keep only instances of the requested application class (the
-        // SPARQL subset has no subclass inference in the pattern itself).
-        let app_iri_stem = format!("{}{}", iri::SCAN_NS, application);
+        // Keep only instances of the requested application class, by
+        // `rdf:type` with subclass reasoning (the SPARQL subset has no
+        // subclass inference in the pattern itself).
+        let instances = ontology
+            .lookup_class(application)
+            .map(|c| ontology.instances_of(c))
+            .unwrap_or_default();
         let best = results.rows().iter().find(|row| {
             row.get("app")
                 .and_then(|t| t.as_iri())
-                .is_some_and(|iri| iri.starts_with(&app_iri_stem))
+                .and_then(|iri| ontology.store().nodes().lookup_iri(iri))
+                .is_some_and(|id| instances.binary_search(&id).is_ok())
         });
 
         match best {
@@ -180,49 +258,13 @@ impl KnowledgeBase {
     /// of `application` from ingested profiles. Returns `None` until
     /// enough observations exist (≥ 2 distinct single-thread sizes).
     pub fn stage_model(&self, application: &str, stage: u32) -> Option<StageModelEstimate> {
-        let profiles: Vec<ProfileRecord> = self
-            .ontology
-            .profiles_of(application)
-            .into_iter()
-            .filter(|p| p.stage == stage)
+        let t = &self.profiles;
+        let observations: Vec<Observation> = t
+            .rows_of(application)
+            .filter(|&row| t.stage[row] == stage)
+            .map(|row| (t.input_gb[row], t.threads[row], t.e_time[row]))
             .collect();
-        if profiles.is_empty() {
-            return None;
-        }
-
-        // (a, b) from single-threaded observations.
-        let single: Vec<(f64, f64)> =
-            profiles.iter().filter(|p| p.threads == 1).map(|p| (p.input_gb, p.e_time)).collect();
-        let lin = linear_fit(&single)?;
-
-        // c from multi-threaded observations, normalised by predicted E(d):
-        // T/E(d) = c/t + (1−c), linear in 1/t.
-        let mut normalised: Vec<(u32, f64)> = Vec::new();
-        for p in &profiles {
-            let e = lin.predict(p.input_gb);
-            if e > 1e-9 {
-                normalised.push((p.threads, p.e_time / e));
-            }
-        }
-        let c = match amdahl_fit(&normalised) {
-            Some(fit) => fit,
-            // All observations single-threaded → assume serial (c = 0).
-            None => crate::regression::AmdahlFit {
-                c: 0.0,
-                single_thread_time: 1.0,
-                r_squared: 1.0,
-                n: normalised.len(),
-            },
-        };
-
-        Some(StageModelEstimate {
-            a: lin.slope,
-            b: lin.intercept,
-            c: c.c,
-            r_squared_linear: lin.r_squared,
-            r_squared_amdahl: c.r_squared,
-            observations: profiles.len(),
-        })
+        fit_stage(&observations)
     }
 
     /// Learns models for stages `1..=n_stages`, keyed by stage index.
@@ -235,6 +277,51 @@ impl KnowledgeBase {
     }
 }
 
+/// One profile as the stage fit sees it: `(input_gb, threads, e_time)`.
+type Observation = (f64, u32, f64);
+
+/// Fits one stage's model from its observations, in ingestion order.
+/// `None` without ≥ 2 distinct single-thread sizes.
+fn fit_stage(observations: &[Observation]) -> Option<StageModelEstimate> {
+    if observations.is_empty() {
+        return None;
+    }
+
+    // (a, b) from single-threaded observations.
+    let single: Vec<(f64, f64)> =
+        observations.iter().filter(|o| o.1 == 1).map(|&(d, _, time)| (d, time)).collect();
+    let lin = linear_fit(&single)?;
+
+    // c from multi-threaded observations, normalised by predicted E(d):
+    // T/E(d) = c/t + (1−c), linear in 1/t.
+    let mut normalised: Vec<(u32, f64)> = Vec::new();
+    for &(d, threads, time) in observations {
+        let e = lin.predict(d);
+        if e > 1e-9 {
+            normalised.push((threads, time / e));
+        }
+    }
+    let c = match amdahl_fit(&normalised) {
+        Some(fit) => fit,
+        // All observations single-threaded → assume serial (c = 0).
+        None => crate::regression::AmdahlFit {
+            c: 0.0,
+            single_thread_time: 1.0,
+            r_squared: 1.0,
+            n: normalised.len(),
+        },
+    };
+
+    Some(StageModelEstimate {
+        a: lin.slope,
+        b: lin.intercept,
+        c: c.c,
+        r_squared_linear: lin.r_squared,
+        r_squared_amdahl: c.r_squared,
+        observations: observations.len(),
+    })
+}
+
 /// Number of shards needed to cover `total_gb` at `chunk_gb` per shard.
 pub fn shards_for(total_gb: f64, chunk_gb: f64) -> u32 {
     assert!(chunk_gb > 0.0);
@@ -244,6 +331,8 @@ pub fn shards_for(total_gb: f64, chunk_gb: f64) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::turtle::to_turtle;
+    use proptest::prelude::*;
 
     fn kb_with_paper_instances() -> KnowledgeBase {
         let mut kb = KnowledgeBase::new();
@@ -299,6 +388,56 @@ mod tests {
         // GATK advice unchanged by the BWA row.
         let gatk = kb.advise_chunk("GATK", 100.0);
         assert_eq!(gatk.chunk_gb, 16.0);
+    }
+
+    #[test]
+    fn advice_matches_the_class_not_an_iri_prefix() {
+        // `GATK4`'s individuals (`GATK41`, …) share the `GATK` IRI
+        // prefix; they must not answer a `GATK` query.
+        let mut kb = KnowledgeBase::new();
+        for (application, input_gb, e_time) in [("GATK", 4.0, 40.0), ("GATK4", 1.0, 5.0)] {
+            kb.ingest(&ProfileRecord {
+                application: Cow::Borrowed(application),
+                stage: 1,
+                input_gb,
+                threads: 1,
+                ram_gb: 4.0,
+                e_time,
+            });
+        }
+        assert_eq!(kb.advise_chunk("GATK", 100.0).chunk_gb, 4.0);
+        assert_eq!(kb.advise_chunk("GATK4", 100.0).chunk_gb, 1.0);
+        // Subclass reasoning: a superclass query sees every application.
+        assert_eq!(kb.advise_chunk("Application", 100.0).chunk_gb, 1.0);
+    }
+
+    #[test]
+    fn superclass_queries_follow_the_schema() {
+        // `VariantData` is a schema subclass of `GenomicData`; `GATK` is
+        // not. Every row is also an `Application` individual.
+        let mut kb = KnowledgeBase::new();
+        for application in ["VariantData", "GATK", "NovelTool"] {
+            kb.ingest(&ProfileRecord {
+                application: Cow::Borrowed(application),
+                ..ProfileRecord::gatk(1, 1.0, 2.0)
+            });
+        }
+        for (class, rows) in [("GenomicData", 1), ("Application", 3), ("GATK", 1), ("BWA", 0)] {
+            assert_eq!(kb.profile_count(class), rows, "{class}");
+            assert_eq!(kb.ontology().profiles_of(class).len(), rows, "{class}");
+        }
+    }
+
+    #[test]
+    fn view_is_built_on_first_query_only() {
+        let mut kb = kb_with_paper_instances();
+        assert!(kb.stage_model("GATK", 1).is_none());
+        assert_eq!(kb.profile_count("GATK"), 4);
+        assert!(kb.view.get().is_none(), "fits must not build the triple view");
+        assert_eq!(kb.ontology().profiles_of("GATK").len(), 4);
+        // Later ingests keep the built view current.
+        kb.ingest(&ProfileRecord::gatk(1, 2.0, 9.0));
+        assert_eq!(kb.ontology().profiles_of("GATK").len(), 5);
     }
 
     #[test]
@@ -408,6 +547,89 @@ mod tests {
         assert_eq!(shards_for(100.0, 4.0), 25);
         assert_eq!(shards_for(101.0, 4.0), 26);
         assert_eq!(shards_for(0.5, 2.0), 1);
+    }
+
+    /// The fit of `application`'s `stage` through the triple view: the
+    /// rows `profiles_of` reads back, in its order.
+    fn view_fit(ontology: &Ontology, application: &str, stage: u32) -> Option<StageModelEstimate> {
+        let observations: Vec<Observation> = ontology
+            .profiles_of(application)
+            .iter()
+            .filter(|p| p.stage == stage)
+            .map(|p| (p.input_gb, p.threads, p.e_time))
+            .collect();
+        fit_stage(&observations)
+    }
+
+    fn bits(m: Option<StageModelEstimate>) -> Option<[u64; 6]> {
+        m.map(|m| {
+            [
+                m.a.to_bits(),
+                m.b.to_bits(),
+                m.c.to_bits(),
+                m.r_squared_linear.to_bits(),
+                m.r_squared_amdahl.to_bits(),
+                m.observations as u64,
+            ]
+        })
+    }
+
+    proptest! {
+        /// The table-backed fits equal a refit through the triple view
+        /// bit-for-bit, for every application, stage and the superclass
+        /// `Application`, wherever in the ingestion sequence the view is
+        /// first built; and the lazily built view is the eagerly built
+        /// one, triple for triple.
+        ///
+        /// Each row is `(app, stage, threads index, input_gb, e_time)`
+        /// over apps GATK, GATK1 (an IRI prefix of GATK's individuals),
+        /// BWA and NovelTool (no schema class).
+        #[test]
+        fn prop_table_fits_match_the_view_refit(
+            rows in proptest::collection::vec(
+                (0usize..4, 1u32..8, 0usize..5, 0.5f64..10.0, 0.1f64..100.0),
+                1..160,
+            ),
+            view_at in 0usize..200,
+        ) {
+            const APPS: [&str; 4] = ["GATK", "GATK1", "BWA", "NovelTool"];
+            const THREADS: [u32; 5] = [1, 2, 4, 8, 16];
+            let mut kb = KnowledgeBase::new();
+            let mut eager = Ontology::with_scan_schema();
+            for (i, &(app, stage, t, input_gb, e_time)) in rows.iter().enumerate() {
+                if i == view_at {
+                    let _ = kb.ontology();
+                }
+                let rec = ProfileRecord {
+                    application: Cow::Borrowed(APPS[app]),
+                    stage,
+                    input_gb,
+                    threads: THREADS[t],
+                    ram_gb: 4.0,
+                    e_time,
+                };
+                kb.ingest(&rec);
+                eager.ingest_profile(&rec);
+            }
+            let queried = APPS.iter().copied().chain(["Application", "GenomicData"]);
+            let table: Vec<_> = queried
+                .clone()
+                .map(|app| {
+                    let fits: Vec<_> = (1..=7).map(|s| bits(kb.stage_model(app, s))).collect();
+                    (kb.profile_count(app), fits)
+                })
+                .collect();
+            let ontology = kb.ontology();
+            let view: Vec<_> = queried
+                .map(|app| {
+                    let fits: Vec<_> = (1..=7).map(|s| bits(view_fit(ontology, app, s))).collect();
+                    (ontology.profiles_of(app).len(), fits)
+                })
+                .collect();
+            prop_assert_eq!(table, view);
+            let prefixes = [("scan", iri::SCAN_NS)];
+            prop_assert_eq!(to_turtle(ontology.store(), &prefixes), to_turtle(eager.store(), &prefixes));
+        }
     }
 
     #[test]

@@ -22,7 +22,11 @@
 //! * [`regression`] — least-squares fits recovering the per-stage linear
 //!   coefficients `a_i, b_i` and the Amdahl fraction `c_i` from profiles.
 //! * [`advice`] — the query layer the Data Broker and Scheduler actually
-//!   consume: chunk-size recommendations and learned stage models.
+//!   consume: chunk-size recommendations and learned stage models. The
+//!   [`KnowledgeBase`] keeps ingested profiles in a columnar table that
+//!   the stage fits read directly; its triple view (schema plus one named
+//!   individual per profile) is built on the first SPARQL, Turtle or
+//!   chunk-advice query, so model learning never materialises triples.
 //! * [`turtle`] — Turtle-format persistence: save/reload the ontology and
 //!   its profiling instances across sessions.
 

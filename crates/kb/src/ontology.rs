@@ -116,6 +116,22 @@ impl ScanVocabulary {
     }
 }
 
+/// The domain ontology's data classes with their formats, following the
+/// paper's AlignedGenomicData example; each is `rdfs:subClassOf
+/// scan:GenomicData`.
+const DATA_CLASSES: [(&str, &str); 5] = [
+    ("SequencingData", "FASTQ"),
+    ("AlignedGenomicData", "BAM"),
+    ("VariantData", "VCF"),
+    ("ProteomicData", "MGF"),
+    ("CellImageData", "TIFF"),
+];
+
+/// The application classes (Fig. 1 / §III tool inventory); each is
+/// `rdfs:subClassOf scan:Application`.
+const APPLICATION_CLASSES: [&str; 7] =
+    ["BWA", "GATK", "MuTect", "MaxQuant", "CellProfiler", "Cytoscape", "GPM"];
+
 /// The assembled SCAN ontology: a triple store plus interned vocabulary.
 #[derive(Debug, Clone)]
 pub struct Ontology {
@@ -149,23 +165,15 @@ impl Ontology {
         // --- domain ontology -------------------------------------------
         // Data classes, following the paper's AlignedGenomicData example.
         let genomic_data = o.class("GenomicData");
-        let classes: &[(&str, &str)] = &[
-            ("SequencingData", "FASTQ"),
-            ("AlignedGenomicData", "BAM"),
-            ("VariantData", "VCF"),
-            ("ProteomicData", "MGF"),
-            ("CellImageData", "TIFF"),
-        ];
-        for (name, format) in classes {
+        for (name, format) in DATA_CLASSES {
             let c = o.class(name);
             o.store.insert(c, v.subclass_of, genomic_data);
-            let f = o.store.intern(Term::str((*format).to_string()));
+            let f = o.store.intern(Term::str(format.to_string()));
             o.store.insert(c, v.data_format, f);
         }
-        // Application classes (Fig. 1 / §III tool inventory).
         let app = v.application;
         o.store.insert(app, v.rdf_type, v.owl_class);
-        for name in ["BWA", "GATK", "MuTect", "MaxQuant", "CellProfiler", "Cytoscape", "GPM"] {
+        for name in APPLICATION_CLASSES {
             let c = o.class(name);
             o.store.insert(c, v.subclass_of, app);
         }
@@ -198,6 +206,19 @@ impl Ontology {
         o.store.insert(gatk, v.runs_on, private);
 
         o
+    }
+
+    /// The direct superclass that [`Ontology::with_scan_schema`] gives
+    /// the class `local`, if any. Lets callers that hold no store reason
+    /// about the fixed schema's `rdfs:subClassOf` edges.
+    pub(crate) fn schema_superclass(local: &str) -> Option<&'static str> {
+        if DATA_CLASSES.iter().any(|(c, _)| *c == local) {
+            Some("GenomicData")
+        } else if APPLICATION_CLASSES.contains(&local) {
+            Some("Application")
+        } else {
+            None
+        }
     }
 
     /// The interned vocabulary.
@@ -242,11 +263,19 @@ impl Ontology {
 
     /// Creates a fresh auto-numbered individual of `class` with the given
     /// name stem — `GATK1`, `GATK2`, … exactly as the paper's knowledge
-    /// base grows when task logs are ingested.
+    /// base grows when task logs are ingested. Numbers whose IRI already
+    /// exists are skipped, so stems that are prefixes of one another
+    /// (`GATK` and `GATK1` both yield a `GATK11`) never share a node.
     pub fn fresh_individual(&mut self, stem: &str, class: NodeId) -> NodeId {
-        let n = self.next_individual.entry(stem.to_string()).or_insert(0);
-        *n += 1;
-        let local = format!("{stem}{n}");
+        let mut n = self.next_individual.get(stem).copied().unwrap_or(0);
+        let local = loop {
+            n += 1;
+            let local = format!("{stem}{n}");
+            if self.lookup_individual(&local).is_none() {
+                break local;
+            }
+        };
+        self.next_individual.insert(stem.to_string(), n);
         self.individual_named(&local, class)
     }
 
@@ -326,6 +355,21 @@ mod tests {
         let ib = o.store().resolve(b).as_iri().unwrap().to_string();
         assert!(ia.ends_with("GATK1"), "{ia}");
         assert!(ib.ends_with("GATK2"), "{ib}");
+    }
+
+    #[test]
+    fn schema_superclass_matches_the_built_schema() {
+        let o = Ontology::with_scan_schema();
+        let names = DATA_CLASSES.iter().map(|(c, _)| *c).chain(APPLICATION_CLASSES);
+        for name in names.chain(["GenomicData", "Application", "CloudTier"]) {
+            let class = o.lookup_class(name).unwrap();
+            let direct: Vec<NodeId> = o.store().objects(class, o.vocab().subclass_of).collect();
+            let expected: Vec<NodeId> = Ontology::schema_superclass(name)
+                .map(|s| o.lookup_class(s).unwrap())
+                .into_iter()
+                .collect();
+            assert_eq!(direct, expected, "{name}");
+        }
     }
 
     #[test]

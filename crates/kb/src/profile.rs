@@ -167,6 +167,38 @@ mod tests {
     }
 
     #[test]
+    fn prefix_stems_keep_their_own_profiles() {
+        // `GATK`'s 11th individual and `GATK1`'s first would both be
+        // named `GATK11`; the second ingest must not overwrite the first.
+        let mut o = Ontology::with_scan_schema();
+        for i in 1..=11 {
+            o.ingest_profile(&ProfileRecord {
+                application: "GATK".into(),
+                stage: 1,
+                input_gb: i as f64,
+                threads: 1,
+                ram_gb: 4.0,
+                e_time: 10.0,
+            });
+        }
+        o.ingest_profile(&ProfileRecord {
+            application: "GATK1".into(),
+            stage: 1,
+            input_gb: 5.0,
+            threads: 1,
+            ram_gb: 4.0,
+            e_time: 99.0,
+        });
+        let gatk = o.profiles_of("GATK");
+        assert_eq!(gatk.len(), 11);
+        let last = gatk.last().unwrap();
+        assert_eq!((last.input_gb, last.e_time), (11.0, 10.0));
+        let gatk1 = o.profiles_of("GATK1");
+        assert_eq!(gatk1.len(), 1);
+        assert_eq!((gatk1[0].input_gb, gatk1[0].e_time), (5.0, 99.0));
+    }
+
+    #[test]
     fn profiles_of_missing_app_is_empty() {
         let o = Ontology::with_scan_schema();
         assert!(o.profiles_of("Nonexistent").is_empty());

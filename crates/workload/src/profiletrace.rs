@@ -11,6 +11,7 @@
 use crate::gatk::PipelineModel;
 use scan_kb::ProfileRecord;
 use scan_sim::SimRng;
+use std::borrow::Cow;
 
 /// The paper's profiling grid: input sizes 1–9 GB.
 pub const PROFILE_SIZES_GB: [f64; 5] = [1.0, 3.0, 5.0, 7.0, 9.0];
@@ -20,10 +21,11 @@ pub const PROFILE_THREADS: [u32; 5] = [1, 2, 4, 8, 16];
 
 /// Generates a profiling trace for every stage of `model`: each (size,
 /// threads) cell is measured `replicates` times with multiplicative
-/// Gaussian noise of relative σ `noise`.
+/// Gaussian noise of relative σ `noise`. Every record borrows the static
+/// `application` name, so the trace allocates nothing per record.
 pub fn generate_profile_trace(
     model: &PipelineModel,
-    application: &str,
+    application: &'static str,
     replicates: usize,
     noise: f64,
     rng: &mut SimRng,
@@ -39,7 +41,7 @@ pub fn generate_profile_trace(
                     let factor = 1.0 + noise * rng.standard_normal();
                     let e_time = (truth * factor.max(0.1)).max(1e-3);
                     out.push(ProfileRecord {
-                        application: application.to_string().into(),
+                        application: Cow::Borrowed(application),
                         stage: (stage_idx + 1) as u32,
                         input_gb: size_gb,
                         threads,

@@ -55,6 +55,10 @@ cargo bench --workspace --no-run --quiet
 echo "==> metrics determinism (parallel merge == sequential fold)"
 cargo test -q -p scan-platform instrument::tests::merged_export_is_identical_to_sequential_fold
 
+echo "==> KB determinism (golden learned model + adaptive session, table fits == triple-view refit)"
+cargo test -q -p scan-platform -- golden_learned_model_bits golden_adaptive_fixed_seed_metrics
+cargo test -q -p scan-kb prop_table_fits_match_the_view_refit
+
 echo "==> span conservation (medium fig4 cell: segments sum bit-exactly to latency)"
 cargo test -q -p scan-spans --test conservation
 
