@@ -404,8 +404,8 @@ mod tests {
         assert_eq!(r.gauges().len(), 2);
     }
 
-    /// The tenant-tagged trace bytes of one session, merged by
-    /// concatenation (in the caller's deterministic order).
+    /// The trace bytes of one session, merged by concatenation (in the
+    /// caller's deterministic order).
     struct TraceBytes(Vec<u8>);
 
     impl Merge for TraceBytes {
@@ -414,14 +414,14 @@ mod tests {
         }
     }
 
-    struct TenantTraceFactory;
+    struct TraceFactory;
 
-    impl ObserverFactory for TenantTraceFactory {
+    impl ObserverFactory for TraceFactory {
         type Obs = JsonlWriter<Vec<u8>>;
         type Summary = TraceBytes;
 
-        fn build(&self, session: u64) -> Self::Obs {
-            JsonlWriter::with_tenant(Vec::new(), session as u32)
+        fn build(&self, _session: u64) -> Self::Obs {
+            JsonlWriter::new(Vec::new())
         }
 
         fn finish(&self, obs: Self::Obs) -> TraceBytes {
@@ -430,20 +430,20 @@ mod tests {
     }
 
     /// Satellite determinism guarantee: replicated fleet metrics and the
-    /// merged tenant-tagged cell traces are byte-identical between the
-    /// rayon fan-out and a purely sequential evaluation — the fleet
-    /// mirror of `observed_sweep_is_thread_count_invariant`.
+    /// merged cell traces are byte-identical between the rayon fan-out
+    /// and a purely sequential evaluation — the fleet mirror of
+    /// `observed_sweep_is_thread_count_invariant`.
     #[test]
     fn fleet_replication_is_thread_count_invariant() {
         let cfg = fleet(3, 24, 5);
         let reps = 3;
 
-        let (par_metrics, par_trace) = run_fleet_replicated_with(&cfg, reps, &TenantTraceFactory);
+        let (par_metrics, par_trace) = run_fleet_replicated_with(&cfg, reps, &TraceFactory);
 
         let mut seq_metrics = Vec::new();
         let mut seq_trace: Option<TraceBytes> = None;
         for rep in 0..reps {
-            let (m, summaries) = run_fleet_with(&cfg, rep, &TenantTraceFactory);
+            let (m, summaries) = run_fleet_with(&cfg, rep, &TraceFactory);
             seq_metrics.push(m);
             for s in summaries {
                 match seq_trace.as_mut() {

@@ -3,7 +3,7 @@
 //! A source-level static analyzer purpose-built for this repository. It
 //! lexes every workspace crate with its own lightweight Rust tokenizer
 //! (no external parser — the workspace builds fully offline) and
-//! enforces three families of project invariants that `rustc` and
+//! enforces four families of project invariants that `rustc` and
 //! `clippy` cannot express:
 //!
 //! 1. **Determinism** — sim-facing library code must not use
@@ -12,9 +12,10 @@
 //!    byte-identical run to run (see `docs/LINTS.md`).
 //! 2. **Hygiene** — panic discipline in library code, doc comments on
 //!    every `pub` item, no orphaned TODOs.
-//! 3. **Doc–code consistency** — `docs/TRACE_SCHEMA.md` must match the
-//!    `TraceEvent` enum and `docs/METRICS.md` must match the registered
-//!    metric families, in both directions.
+//! 3. **Doc–code consistency** — `docs/METRICS.md` must match the
+//!    registered metric families, in both directions. (The trace, store
+//!    and span documents are checked against runtime values by the root
+//!    `tests/doc_tables.rs`.)
 //! 4. **Semantic (interprocedural)** — on top of the lexer sits an item
 //!    parser ([`parse`]), a workspace symbol table ([`model`]) and a
 //!    name-resolution-approximate call graph ([`graph`]); three passes

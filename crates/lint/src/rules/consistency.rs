@@ -1,372 +1,19 @@
-//! Doc–code consistency rules: the reference documents must match the
-//! code, in both directions.
+//! Doc–code consistency: `metrics-doc-drift` checks `docs/METRICS.md`
+//! against the metric families actually registered in library code
+//! (`registry.counter(…)` / `.histogram(…)` / `.series(…)` call sites):
+//! the catalogue lists exactly the registered families, in both
+//! directions.
 //!
-//! * `trace-doc-drift` — `docs/TRACE_SCHEMA.md` against the `TraceEvent`
-//!   enum in `crates/sim/src/trace.rs`: every variant documented, no
-//!   phantom sections, `kind` tags equal to `TraceEvent::kind`, field
-//!   tables equal to the variants' field names, and every
-//!   `ScalingChoice` label mentioned.
-//! * `metrics-doc-drift` — `docs/METRICS.md` against the metric families
-//!   actually registered in library code (`registry.counter(…)` /
-//!   `.histogram(…)` / `.series(…)` call sites): the catalogue lists
-//!   exactly the registered families.
-//! * `store-doc-drift` — `docs/TRACESTORE.md` against the columnar
-//!   store's schema in `crates/tracestore/src/schema.rs`: every
-//!   `EventKind` has a column table under "Column layouts" whose rows
-//!   equal the declared column names, no phantom tables or columns, and
-//!   the "Aggregations" table lists exactly the `Agg::name` labels.
-//! * `spans-doc-drift` — `docs/SPANS.md` against the span data model in
-//!   `crates/spans/src/schema.rs`: the "Segment taxonomy" table lists
-//!   exactly the `SegmentKind::name` labels and the "SLO metrics" table
-//!   lists exactly the `SLO_*` metric-name constants, both directions.
-//!
-//! All sides are parsed structurally (tokens on the code side, table
-//! rows on the markdown side), so a renamed field or a new variant fails
-//! CI the moment it lands without its documentation line.
+//! The registered families are collected from tokens, because nothing
+//! enumerates them at runtime yet. The other reference documents
+//! (TRACE_SCHEMA.md, TRACESTORE.md, SPANS.md) are checked against the
+//! runtime schema values by the root `tests/doc_tables.rs` instead.
 
 use crate::diag::{Diagnostic, Severity};
 use crate::lex::{Token, TokenKind};
 use crate::source::SourceFile;
 use std::collections::BTreeMap;
 use std::path::Path;
-
-/// The code-side trace model extracted from `trace.rs`.
-#[derive(Debug, Default)]
-pub struct TraceModel {
-    /// Variant name → (declaration line, field names in order).
-    pub variants: BTreeMap<String, (u32, Vec<String>)>,
-    /// Variant name → the string tag `TraceEvent::kind` returns for it.
-    pub kinds: BTreeMap<String, String>,
-    /// The label strings `ScalingChoice::name` can return.
-    pub choice_names: Vec<String>,
-}
-
-/// One documented event section of TRACE_SCHEMA.md.
-#[derive(Debug)]
-struct DocSection {
-    kind: String,
-    variant: String,
-    line: u32,
-    /// Field name → line of its table row.
-    fields: Vec<(String, u32)>,
-}
-
-/// Extracts the [`TraceModel`] from the lexed `trace.rs`.
-pub fn parse_trace_model(src: &SourceFile) -> TraceModel {
-    let code: Vec<&Token> = src.code_tokens().map(|(_, t)| t).collect();
-    let mut model = TraceModel::default();
-    if let Some(body) = brace_body_after(src, &code, &["enum", "TraceEvent"]) {
-        model.variants = parse_variants(src, &code[body.0..body.1]);
-    }
-    if let Some(body) = brace_body_after(src, &code, &["fn", "kind"]) {
-        model.kinds = parse_kind_arms(src, &code[body.0..body.1]);
-    }
-    if let Some(body) = brace_body_after(src, &code, &["fn", "name"]) {
-        model.choice_names = code[body.0..body.1]
-            .iter()
-            .filter(|t| t.kind == TokenKind::Str)
-            .filter_map(|t| t.str_content(&src.text))
-            .map(str::to_string)
-            .collect();
-    }
-    model
-}
-
-/// Finds `keywords[0] keywords[1] … {` and returns the code-token index
-/// range of the brace body (exclusive of the braces).
-fn brace_body_after(
-    src: &SourceFile,
-    code: &[&Token],
-    keywords: &[&str],
-) -> Option<(usize, usize)> {
-    'outer: for i in 0..code.len().saturating_sub(keywords.len()) {
-        for (j, kw) in keywords.iter().enumerate() {
-            if code[i + j].kind != TokenKind::Ident || src.text_of(code[i + j]) != *kw {
-                continue 'outer;
-            }
-        }
-        // Scan to the opening brace, then to its match.
-        let mut k = i + keywords.len();
-        while k < code.len() && !matches!(code[k].kind, TokenKind::Punct(b'{')) {
-            k += 1;
-        }
-        let open = k;
-        let mut depth = 0i32;
-        while k < code.len() {
-            match code[k].kind {
-                TokenKind::Punct(b'{') => depth += 1,
-                TokenKind::Punct(b'}') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some((open + 1, k));
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-    }
-    None
-}
-
-/// Parses enum variants (and their named-field lists) from the tokens of
-/// an enum body.
-fn parse_variants(src: &SourceFile, body: &[&Token]) -> BTreeMap<String, (u32, Vec<String>)> {
-    let mut out = BTreeMap::new();
-    let mut k = 0;
-    while k < body.len() {
-        let t = body[k];
-        if t.kind != TokenKind::Ident {
-            k += 1;
-            continue;
-        }
-        let name = src.text_of(t).to_string();
-        let line = t.line;
-        let mut fields = Vec::new();
-        k += 1;
-        if k < body.len() && matches!(body[k].kind, TokenKind::Punct(b'{')) {
-            let mut depth = 0i32;
-            while k < body.len() {
-                match body[k].kind {
-                    TokenKind::Punct(b'{') => depth += 1,
-                    TokenKind::Punct(b'}') => {
-                        depth -= 1;
-                        if depth == 0 {
-                            k += 1;
-                            break;
-                        }
-                    }
-                    TokenKind::Ident
-                        if depth == 1
-                            && matches!(
-                                body.get(k + 1).map(|t| t.kind),
-                                Some(TokenKind::Punct(b':'))
-                            ) =>
-                    {
-                        fields.push(src.text_of(body[k]).to_string());
-                        // Skip the type up to the field's trailing comma.
-                        let mut inner = 0i32;
-                        while k < body.len() {
-                            match body[k].kind {
-                                TokenKind::Punct(b'<') | TokenKind::Punct(b'(') => inner += 1,
-                                TokenKind::Punct(b'>') | TokenKind::Punct(b')') => inner -= 1,
-                                TokenKind::Punct(b',') if inner <= 0 => break,
-                                TokenKind::Punct(b'}') if inner <= 0 => break,
-                                _ => {}
-                            }
-                            k += 1;
-                        }
-                        if matches!(body.get(k).map(|t| t.kind), Some(TokenKind::Punct(b'}'))) {
-                            continue; // let the depth tracker close the block
-                        }
-                    }
-                    _ => {}
-                }
-                k += 1;
-            }
-        }
-        out.insert(name, (line, fields));
-        // Advance past the variant's trailing comma if present.
-        while k < body.len() && matches!(body[k].kind, TokenKind::Punct(b',')) {
-            k += 1;
-        }
-    }
-    out
-}
-
-/// Parses `Self::Variant { .. } => "tag"` arms from a `fn kind` body.
-fn parse_kind_arms(src: &SourceFile, body: &[&Token]) -> BTreeMap<String, String> {
-    let mut out = BTreeMap::new();
-    let mut k = 0;
-    while k + 2 < body.len() {
-        let is_self_path = body[k].kind == TokenKind::Ident
-            && src.text_of(body[k]) == "Self"
-            && matches!(body[k + 1].kind, TokenKind::Punct(b':'))
-            && matches!(body[k + 2].kind, TokenKind::Punct(b':'));
-        if !is_self_path {
-            k += 1;
-            continue;
-        }
-        let Some(variant) = body.get(k + 3).filter(|t| t.kind == TokenKind::Ident) else {
-            k += 1;
-            continue;
-        };
-        // Scan forward to the arm's string literal (past `{ .. } =>`).
-        let mut j = k + 4;
-        while j < body.len() && body[j].kind != TokenKind::Str {
-            if body[j].kind == TokenKind::Ident && src.text_of(body[j]) == "Self" {
-                break; // malformed arm; resync on the next one
-            }
-            j += 1;
-        }
-        if let Some(tag) = body.get(j).and_then(|t| t.str_content(&src.text)) {
-            out.insert(src.text_of(variant).to_string(), tag.to_string());
-        }
-        k = j;
-    }
-    out
-}
-
-/// Cross-checks TRACE_SCHEMA.md against the trace model. `doc_path` and
-/// `code_path` are used for diagnostic locations only.
-pub fn check_trace_schema(
-    doc_path: &Path,
-    doc_text: &str,
-    code_path: &Path,
-    model: &TraceModel,
-) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let mut emit = |path: &Path, line: u32, message: String| {
-        diags.push(Diagnostic {
-            rule: "trace-doc-drift",
-            severity: Severity::Error,
-            path: path.to_path_buf(),
-            line,
-            col: 1,
-            message,
-            chain: Vec::new(),
-        });
-    };
-
-    let sections = parse_doc_sections(doc_text);
-    if model.variants.is_empty() {
-        emit(code_path, 1, "could not locate `enum TraceEvent` to cross-check".to_string());
-        return diags;
-    }
-    if sections.is_empty() {
-        emit(doc_path, 1, "no `### \\`kind\\` — \\`TraceEvent::…\\`` sections found".to_string());
-        return diags;
-    }
-
-    for (variant, (line, fields)) in &model.variants {
-        match sections.iter().find(|s| &s.variant == variant) {
-            None => emit(
-                code_path,
-                *line,
-                format!("TraceEvent::{variant} has no section in {}", doc_path.display()),
-            ),
-            Some(section) => {
-                for field in fields {
-                    if !section.fields.iter().any(|(f, _)| f == field) {
-                        emit(
-                            doc_path,
-                            section.line,
-                            format!(
-                                "section `{}` is missing a row for field `{field}` of \
-                                 TraceEvent::{variant}",
-                                section.kind
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-    }
-    for section in &sections {
-        let Some((_, fields)) = model.variants.get(&section.variant) else {
-            emit(
-                doc_path,
-                section.line,
-                format!("documented variant TraceEvent::{} does not exist", section.variant),
-            );
-            continue;
-        };
-        match model.kinds.get(&section.variant) {
-            Some(tag) if tag != &section.kind => emit(
-                doc_path,
-                section.line,
-                format!(
-                    "section tag `{}` disagrees with TraceEvent::kind (`{tag}`) for variant {}",
-                    section.kind, section.variant
-                ),
-            ),
-            None => emit(
-                doc_path,
-                section.line,
-                format!("variant {} has no arm in TraceEvent::kind", section.variant),
-            ),
-            _ => {}
-        }
-        for (field, row_line) in &section.fields {
-            if !fields.iter().any(|f| f == field) {
-                emit(
-                    doc_path,
-                    *row_line,
-                    format!(
-                        "documented field `{field}` does not exist on TraceEvent::{}",
-                        section.variant
-                    ),
-                );
-            }
-        }
-    }
-    for choice in &model.choice_names {
-        if !doc_text.contains(&format!("`{choice}`")) {
-            emit(
-                doc_path,
-                1,
-                format!("ScalingChoice label `{choice}` is not mentioned anywhere in the schema"),
-            );
-        }
-    }
-    diags
-}
-
-/// Parses the `### `kind` — `TraceEvent::Variant`` sections and their
-/// field tables out of TRACE_SCHEMA.md.
-fn parse_doc_sections(doc_text: &str) -> Vec<DocSection> {
-    let mut sections: Vec<DocSection> = Vec::new();
-    let mut in_fence = false;
-    for (idx, raw) in doc_text.lines().enumerate() {
-        let line_no = (idx + 1) as u32;
-        let line = raw.trim_end();
-        if line.trim_start().starts_with("```") {
-            in_fence = !in_fence;
-            continue;
-        }
-        if in_fence {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("### `") {
-            let Some((kind, tail)) = rest.split_once('`') else { continue };
-            let Some(variant) = tail
-                .split_once("TraceEvent::")
-                .map(|(_, v)| v.trim_end_matches(['`', ' ']).to_string())
-            else {
-                continue;
-            };
-            sections.push(DocSection {
-                kind: kind.to_string(),
-                variant,
-                line: line_no,
-                fields: Vec::new(),
-            });
-            continue;
-        }
-        if line.starts_with("## ") {
-            // Field tables only belong to the catalogue's ### sections;
-            // a new top-level section ends attribution.
-            if line != "## Event catalogue" {
-                sections.push(DocSection {
-                    kind: String::new(),
-                    variant: String::new(),
-                    line: line_no,
-                    fields: Vec::new(),
-                });
-            }
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("| `") {
-            if let Some((field, _)) = rest.split_once('`') {
-                if let Some(section) = sections.last_mut() {
-                    section.fields.push((field.to_string(), line_no));
-                }
-            }
-        }
-    }
-    sections.retain(|s| !s.variant.is_empty());
-    sections
-}
 
 /// A registered metric family: name → every registration site.
 pub type RegisteredMetrics = BTreeMap<String, Vec<(std::path::PathBuf, u32)>>;
@@ -477,460 +124,6 @@ pub fn check_metrics_doc(
         }
     }
     diags
-}
-
-/// The code-side store model extracted from the trace store's
-/// `schema.rs`.
-#[derive(Debug, Default)]
-pub struct StoreModel {
-    /// `EventKind` variant name → the tag `EventKind::tag` returns.
-    pub tags: BTreeMap<String, String>,
-    /// Variant name → (line of its `columns` arm, declared column names
-    /// in storage order).
-    pub columns: BTreeMap<String, (u32, Vec<String>)>,
-    /// The labels `Agg::name` can return.
-    pub agg_names: Vec<String>,
-}
-
-/// One documented column table of TRACESTORE.md's "Column layouts".
-#[derive(Debug)]
-struct StoreDocTable {
-    tag: String,
-    line: u32,
-    /// Column name → line of its table row.
-    columns: Vec<(String, u32)>,
-}
-
-/// Extracts the [`StoreModel`] from the lexed trace-store `schema.rs`.
-///
-/// `EventKind::columns` declares one `const NAME: &[ColumnSpec] = …;`
-/// item per layout (const-fn slices are not `'static`-promoted, so the
-/// code is forced into this shape) and then maps variants to consts in
-/// its `match`; the parser mirrors that: collect the string literals of
-/// each `const` item, then resolve `Self::Variant => CONST` arms.
-pub fn parse_store_model(src: &SourceFile) -> StoreModel {
-    let code: Vec<&Token> = src.code_tokens().map(|(_, t)| t).collect();
-    let mut model = StoreModel::default();
-    if let Some(body) = brace_body_after(src, &code, &["fn", "tag"]) {
-        model.tags = parse_kind_arms(src, &code[body.0..body.1]);
-    }
-    if let Some(body) = brace_body_after(src, &code, &["fn", "columns"]) {
-        let body = &code[body.0..body.1];
-        let consts = parse_const_string_lists(src, body);
-        for (variant, (line, const_name)) in parse_const_arms(src, body) {
-            let cols = consts.get(&const_name).cloned().unwrap_or_default();
-            model.columns.insert(variant, (line, cols));
-        }
-    }
-    if let Some(body) = brace_body_after(src, &code, &["fn", "name"]) {
-        model.agg_names = code[body.0..body.1]
-            .iter()
-            .filter(|t| t.kind == TokenKind::Str)
-            .filter_map(|t| t.str_content(&src.text))
-            .map(str::to_string)
-            .collect();
-    }
-    model
-}
-
-/// Collects `const NAME: … = …;` items, mapping each const's name to the
-/// string literals appearing in its initialiser (the column names).
-fn parse_const_string_lists(src: &SourceFile, body: &[&Token]) -> BTreeMap<String, Vec<String>> {
-    let mut out = BTreeMap::new();
-    let mut k = 0;
-    while k < body.len() {
-        let is_const = body[k].kind == TokenKind::Ident && src.text_of(body[k]) == "const";
-        let Some(name) = body.get(k + 1).filter(|t| t.kind == TokenKind::Ident) else {
-            k += 1;
-            continue;
-        };
-        if !is_const {
-            k += 1;
-            continue;
-        }
-        let mut strings = Vec::new();
-        k += 2;
-        while k < body.len() && !matches!(body[k].kind, TokenKind::Punct(b';')) {
-            if body[k].kind == TokenKind::Str {
-                if let Some(s) = body[k].str_content(&src.text) {
-                    strings.push(s.to_string());
-                }
-            }
-            k += 1;
-        }
-        out.insert(src.text_of(name).to_string(), strings);
-    }
-    out
-}
-
-/// Parses `Self::Variant => CONST` arms: variant name → (line, const
-/// identifier the arm resolves to).
-fn parse_const_arms(src: &SourceFile, body: &[&Token]) -> BTreeMap<String, (u32, String)> {
-    let mut out = BTreeMap::new();
-    let mut k = 0;
-    while k + 3 < body.len() {
-        let is_self_path = body[k].kind == TokenKind::Ident
-            && src.text_of(body[k]) == "Self"
-            && matches!(body[k + 1].kind, TokenKind::Punct(b':'))
-            && matches!(body[k + 2].kind, TokenKind::Punct(b':'));
-        if !is_self_path {
-            k += 1;
-            continue;
-        }
-        let Some(variant) = body.get(k + 3).filter(|t| t.kind == TokenKind::Ident) else {
-            k += 1;
-            continue;
-        };
-        // Scan past `=>` to the arm's target identifier.
-        let mut j = k + 4;
-        while j < body.len() && body[j].kind != TokenKind::Ident {
-            j += 1;
-        }
-        match body.get(j) {
-            Some(t) if src.text_of(t) != "Self" => {
-                out.insert(
-                    src.text_of(variant).to_string(),
-                    (variant.line, src.text_of(t).to_string()),
-                );
-                k = j + 1;
-            }
-            _ => k = j, // malformed arm; resync on the next `Self::`
-        }
-    }
-    out
-}
-
-/// Cross-checks TRACESTORE.md against the store model. `doc_path` and
-/// `code_path` are used for diagnostic locations only.
-pub fn check_tracestore_doc(
-    doc_path: &Path,
-    doc_text: &str,
-    code_path: &Path,
-    model: &StoreModel,
-) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let mut emit = |path: &Path, line: u32, message: String| {
-        diags.push(Diagnostic {
-            rule: "store-doc-drift",
-            severity: Severity::Error,
-            path: path.to_path_buf(),
-            line,
-            col: 1,
-            message,
-            chain: Vec::new(),
-        });
-    };
-
-    let (tables, agg_rows) = parse_store_doc(doc_text);
-    if model.columns.is_empty() {
-        emit(code_path, 1, "could not locate `EventKind::columns` to cross-check".to_string());
-        return diags;
-    }
-    if tables.is_empty() {
-        emit(doc_path, 1, "no `### \\`tag\\`` tables found under `## Column layouts`".to_string());
-        return diags;
-    }
-
-    for (variant, (line, cols)) in &model.columns {
-        let Some(tag) = model.tags.get(variant) else {
-            emit(code_path, *line, format!("EventKind::{variant} has no arm in EventKind::tag"));
-            continue;
-        };
-        match tables.iter().find(|t| &t.tag == tag) {
-            None => emit(
-                code_path,
-                *line,
-                format!(
-                    "EventKind::{variant} (`{tag}`) has no column table in {}",
-                    doc_path.display()
-                ),
-            ),
-            Some(table) => {
-                for col in cols {
-                    if !table.columns.iter().any(|(c, _)| c == col) {
-                        emit(
-                            doc_path,
-                            table.line,
-                            format!(
-                                "table `{tag}` is missing a row for column `{col}` of \
-                                 EventKind::{variant}"
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-    }
-    for table in &tables {
-        let Some((variant, _)) = model.tags.iter().find(|(_, tag)| *tag == &table.tag) else {
-            emit(
-                doc_path,
-                table.line,
-                format!("documented table `{}` does not correspond to any EventKind", table.tag),
-            );
-            continue;
-        };
-        let declared =
-            model.columns.get(variant).map(|(_, cols)| cols.as_slice()).unwrap_or_default();
-        for (col, row_line) in &table.columns {
-            // `t` and `tenant` are implicit on every kind; documenting
-            // them in a layout is allowed, never drift.
-            if col == "t" || col == "tenant" {
-                continue;
-            }
-            if !declared.iter().any(|c| c == col) {
-                emit(
-                    doc_path,
-                    *row_line,
-                    format!(
-                        "documented column `{col}` is not declared for `{}` \
-                         (EventKind::{variant})",
-                        table.tag
-                    ),
-                );
-            }
-        }
-    }
-
-    if model.agg_names.is_empty() {
-        emit(code_path, 1, "could not locate `Agg::name` to cross-check".to_string());
-    } else {
-        for name in &model.agg_names {
-            if !agg_rows.iter().any(|(doc_name, _)| doc_name == name) {
-                emit(
-                    doc_path,
-                    1,
-                    format!("aggregation `{name}` is missing from the `## Aggregations` table"),
-                );
-            }
-        }
-        for (name, line) in &agg_rows {
-            if !model.agg_names.contains(name) {
-                emit(
-                    doc_path,
-                    *line,
-                    format!("documented aggregation `{name}` does not exist in Agg"),
-                );
-            }
-        }
-    }
-    diags
-}
-
-/// Parses TRACESTORE.md: the ``### `tag` `` column tables scoped to the
-/// "Column layouts" section, and the `` | `name` | `` rows of the
-/// "Aggregations" section.
-fn parse_store_doc(doc_text: &str) -> (Vec<StoreDocTable>, Vec<(String, u32)>) {
-    let mut tables: Vec<StoreDocTable> = Vec::new();
-    let mut aggs = Vec::new();
-    let mut in_layouts = false;
-    let mut in_aggs = false;
-    let mut in_fence = false;
-    for (idx, raw) in doc_text.lines().enumerate() {
-        let line_no = (idx + 1) as u32;
-        let line = raw.trim_end();
-        if line.trim_start().starts_with("```") {
-            in_fence = !in_fence;
-            continue;
-        }
-        if in_fence {
-            continue;
-        }
-        if let Some(heading) = line.strip_prefix("## ") {
-            in_layouts = heading.trim() == "Column layouts";
-            in_aggs = heading.trim() == "Aggregations";
-            continue;
-        }
-        if in_layouts {
-            if let Some(rest) = line.strip_prefix("### `") {
-                if let Some((tag, _)) = rest.split_once('`') {
-                    tables.push(StoreDocTable {
-                        tag: tag.to_string(),
-                        line: line_no,
-                        columns: Vec::new(),
-                    });
-                }
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("| `") {
-                if let Some((col, _)) = rest.split_once('`') {
-                    if let Some(table) = tables.last_mut() {
-                        table.columns.push((col.to_string(), line_no));
-                    }
-                }
-            }
-        }
-        if in_aggs {
-            if let Some(rest) = line.strip_prefix("| `") {
-                if let Some((name, _)) = rest.split_once('`') {
-                    aggs.push((name.to_string(), line_no));
-                }
-            }
-        }
-    }
-    (tables, aggs)
-}
-
-/// `(name, line)` rows extracted from a doc table or a code scan.
-type NamedRows = Vec<(String, u32)>;
-
-/// The code-side span model extracted from the spans crate's
-/// `schema.rs`.
-#[derive(Debug, Default)]
-pub struct SpansModel {
-    /// `SegmentKind::name` labels, in declaration order, with the line
-    /// of each string literal.
-    pub segments: NamedRows,
-    /// `SLO_*` const metric names, with the line of each const item.
-    pub slo_metrics: NamedRows,
-}
-
-/// Extracts the [`SpansModel`] from the lexed spans `schema.rs`: the
-/// string literals of the `fn name` body (the segment labels — the file
-/// declares exactly one `fn name`, on `SegmentKind`), and every
-/// `const SLO_…: &str = "…";` item's string.
-pub fn parse_spans_model(src: &SourceFile) -> SpansModel {
-    let code: Vec<&Token> = src.code_tokens().map(|(_, t)| t).collect();
-    let mut model = SpansModel::default();
-    if let Some(body) = brace_body_after(src, &code, &["fn", "name"]) {
-        model.segments = code[body.0..body.1]
-            .iter()
-            .filter(|t| t.kind == TokenKind::Str)
-            .filter_map(|t| t.str_content(&src.text).map(|s| (s.to_string(), t.line)))
-            .collect();
-    }
-    let mut k = 0;
-    while k + 1 < code.len() {
-        let is_const = code[k].kind == TokenKind::Ident && src.text_of(code[k]) == "const";
-        let named_slo =
-            code[k + 1].kind == TokenKind::Ident && src.text_of(code[k + 1]).starts_with("SLO_");
-        if !(is_const && named_slo) {
-            k += 1;
-            continue;
-        }
-        let line = code[k + 1].line;
-        k += 2;
-        while k < code.len() && !matches!(code[k].kind, TokenKind::Punct(b';')) {
-            if code[k].kind == TokenKind::Str {
-                if let Some(s) = code[k].str_content(&src.text) {
-                    model.slo_metrics.push((s.to_string(), line));
-                }
-            }
-            k += 1;
-        }
-    }
-    model
-}
-
-/// Cross-checks docs/SPANS.md against the span model. `doc_path` and
-/// `code_path` are used for diagnostic locations only.
-pub fn check_spans_doc(
-    doc_path: &Path,
-    doc_text: &str,
-    code_path: &Path,
-    model: &SpansModel,
-) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let mut emit = |path: &Path, line: u32, message: String| {
-        diags.push(Diagnostic {
-            rule: "spans-doc-drift",
-            severity: Severity::Error,
-            path: path.to_path_buf(),
-            line,
-            col: 1,
-            message,
-            chain: Vec::new(),
-        });
-    };
-
-    let (doc_segments, doc_slo) = parse_spans_doc(doc_text);
-    if model.segments.is_empty() {
-        emit(code_path, 1, "could not locate `SegmentKind::name` to cross-check".to_string());
-        return diags;
-    }
-    if doc_segments.is_empty() {
-        emit(doc_path, 1, "no rows found under `## Segment taxonomy`".to_string());
-        return diags;
-    }
-
-    for (name, line) in &model.segments {
-        if !doc_segments.iter().any(|(doc_name, _)| doc_name == name) {
-            emit(
-                code_path,
-                *line,
-                format!("segment `{name}` has no row in {}'s segment taxonomy", doc_path.display()),
-            );
-        }
-    }
-    for (name, line) in &doc_segments {
-        if !model.segments.iter().any(|(code_name, _)| code_name == name) {
-            emit(
-                doc_path,
-                *line,
-                format!("documented segment `{name}` does not exist in SegmentKind"),
-            );
-        }
-    }
-
-    if model.slo_metrics.is_empty() {
-        emit(code_path, 1, "could not locate any `SLO_*` metric-name const to cross-check".into());
-        return diags;
-    }
-    for (name, line) in &model.slo_metrics {
-        if !doc_slo.iter().any(|(doc_name, _)| doc_name == name) {
-            emit(
-                code_path,
-                *line,
-                format!("SLO metric `{name}` has no row in {}'s SLO table", doc_path.display()),
-            );
-        }
-    }
-    for (name, line) in &doc_slo {
-        if !model.slo_metrics.iter().any(|(code_name, _)| code_name == name) {
-            emit(
-                doc_path,
-                *line,
-                format!("documented SLO metric `{name}` is not declared in the span schema"),
-            );
-        }
-    }
-    diags
-}
-
-/// Parses docs/SPANS.md: the `` | `name` | `` rows of the "Segment
-/// taxonomy" and "SLO metrics" sections.
-fn parse_spans_doc(doc_text: &str) -> (NamedRows, NamedRows) {
-    let mut segments = Vec::new();
-    let mut slo = Vec::new();
-    let mut in_segments = false;
-    let mut in_slo = false;
-    let mut in_fence = false;
-    for (idx, raw) in doc_text.lines().enumerate() {
-        let line_no = (idx + 1) as u32;
-        let line = raw.trim_end();
-        if line.trim_start().starts_with("```") {
-            in_fence = !in_fence;
-            continue;
-        }
-        if in_fence {
-            continue;
-        }
-        if let Some(heading) = line.strip_prefix("## ") {
-            in_segments = heading.trim() == "Segment taxonomy";
-            in_slo = heading.trim() == "SLO metrics";
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("| `") {
-            if let Some((name, _)) = rest.split_once('`') {
-                if in_segments {
-                    segments.push((name.to_string(), line_no));
-                } else if in_slo {
-                    slo.push((name.to_string(), line_no));
-                }
-            }
-        }
-    }
-    (segments, slo)
 }
 
 /// Extracts `(metric name, line)` rows from the "Metric catalogue"

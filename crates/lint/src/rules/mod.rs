@@ -1,5 +1,6 @@
-//! The rule set: per-file token rules (determinism + hygiene) and the
-//! workspace-level doc–code consistency rules in [`consistency`].
+//! The rule set: per-file token rules (determinism + hygiene), the
+//! workspace-level `metrics-doc-drift` rule in [`consistency`] and the
+//! interprocedural passes in [`semantic`].
 //!
 //! Every rule has a stable kebab-case id, a severity, and a one-line
 //! summary (shown by `scan-lint --list-rules` and catalogued with
@@ -82,28 +83,10 @@ pub const RULES: &[RuleInfo] = &[
         summary: "TODO/FIXME comments must reference an issue (`#123`) or a URL",
     },
     RuleInfo {
-        id: "trace-doc-drift",
-        severity: Severity::Error,
-        summary: "docs/TRACE_SCHEMA.md must match the TraceEvent enum: variants, kind tags and \
-                  fields, in both directions",
-    },
-    RuleInfo {
         id: "metrics-doc-drift",
         severity: Severity::Error,
         summary: "docs/METRICS.md must list exactly the metric families registered in library \
                   code, in both directions",
-    },
-    RuleInfo {
-        id: "store-doc-drift",
-        severity: Severity::Error,
-        summary: "docs/TRACESTORE.md must match the trace store's schema: one column table per \
-                  EventKind plus the Agg labels, in both directions",
-    },
-    RuleInfo {
-        id: "spans-doc-drift",
-        severity: Severity::Error,
-        summary: "docs/SPANS.md must list exactly the segment taxonomy and SLO metric names \
-                  declared in crates/spans/src/schema.rs, in both directions",
     },
     RuleInfo {
         id: "taint-nondet",

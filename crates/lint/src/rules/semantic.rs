@@ -13,7 +13,7 @@ use crate::diag::{Allows, ChainHop, Diagnostic};
 use crate::graph::CallGraph;
 use crate::lex::TokenKind;
 use crate::model::{FileFacts, FnId, SemanticModel};
-use crate::rules::{consistency, severity_of};
+use crate::rules::severity_of;
 use crate::source::FileClass;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::PathBuf;
@@ -298,8 +298,18 @@ fn check_unconstructed_variants(model: &SemanticModel<'_>, diags: &mut Vec<Diagn
     else {
         return; // no trace schema in this workspace (fixture runs)
     };
-    let trace_model = consistency::parse_trace_model(&trace.wf.file);
-    if trace_model.variants.is_empty() {
+    let variants = declared_trace_variants(trace);
+    if variants.is_empty() {
+        diags.push(diag(
+            "dead-telemetry",
+            trace.wf.file.path.clone(),
+            1,
+            1,
+            "found no `Variant as \"tag\"` declarations in a `trace_events!` invocation; \
+             TraceEvent variants cannot be checked"
+                .to_string(),
+            Vec::new(),
+        ));
         return;
     }
 
@@ -311,12 +321,12 @@ fn check_unconstructed_variants(model: &SemanticModel<'_>, diags: &mut Vec<Diagn
         collect_constructions(facts, "TraceEvent", &mut constructed);
     }
 
-    for (variant, (line, _fields)) in &trace_model.variants {
-        if !constructed.contains(variant) {
+    for (variant, line) in variants {
+        if !constructed.contains(&variant) {
             diags.push(diag(
                 "dead-telemetry",
                 trace.wf.file.path.clone(),
-                *line,
+                line,
                 1,
                 format!(
                     "`TraceEvent::{variant}` is declared but never constructed outside tests; \
@@ -326,6 +336,43 @@ fn check_unconstructed_variants(model: &SemanticModel<'_>, diags: &mut Vec<Diagn
             ));
         }
     }
+}
+
+/// The `TraceEvent` variants the `trace_events! { … }` invocation
+/// declares, with the line of each name: every `Variant as "tag"` in the
+/// invocation's braces.
+fn declared_trace_variants(facts: &FileFacts<'_>) -> Vec<(String, u32)> {
+    let (file, code) = (&facts.wf.file, &facts.code);
+    let is = |k: usize, kind: TokenKind| code.get(k).is_some_and(|t| t.kind == kind);
+    let Some(open) = (0..code.len()).find(|&k| {
+        code[k].text(&file.text) == "trace_events"
+            && is(k + 1, TokenKind::Punct(b'!'))
+            && is(k + 2, TokenKind::Punct(b'{'))
+    }) else {
+        return Vec::new();
+    };
+    let mut out = Vec::new();
+    let mut depth = 0i32;
+    for k in open + 2..code.len() {
+        match code[k].kind {
+            TokenKind::Punct(b'{') => depth += 1,
+            TokenKind::Punct(b'}') => {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            TokenKind::Ident
+                if code[k].text(&file.text) == "as"
+                    && is(k - 1, TokenKind::Ident)
+                    && is(k + 1, TokenKind::Str) =>
+            {
+                out.push((code[k - 1].text(&file.text).to_string(), code[k - 1].line));
+            }
+            _ => {}
+        }
+    }
+    out
 }
 
 /// Collects variants of `enum_name` that appear in *construction*

@@ -1,102 +1,11 @@
-//! Doc–code drift detection: synthetic drift in each direction must be
-//! caught, and the real committed tree must parse non-vacuously.
+//! `metrics-doc-drift`: synthetic drift in each direction must be
+//! caught, and registrations inside test code must not count.
 
 use scan_lint::rules::consistency::{
-    check_metrics_doc, check_spans_doc, check_trace_schema, check_tracestore_doc,
-    collect_registered_metrics, parse_spans_model, parse_store_model, parse_trace_model,
-    RegisteredMetrics,
+    check_metrics_doc, collect_registered_metrics, RegisteredMetrics,
 };
 use scan_lint::source::SourceFile;
 use std::path::{Path, PathBuf};
-
-const CODE: &str = r#"
-/// Events.
-pub enum TraceEvent {
-    /// A job arrived.
-    JobArrived { job: u64, tasks: u32 },
-    /// A VM was hired.
-    VmHired { vm: u64 },
-}
-
-impl TraceEvent {
-    /// Stable kind tag.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Self::JobArrived { .. } => "job_arrived",
-            Self::VmHired { .. } => "vm_hired",
-        }
-    }
-}
-"#;
-
-const DOC: &str = "\
-# Trace schema
-
-## Event catalogue
-
-### `job_arrived` — `TraceEvent::JobArrived`
-
-| field | type | meaning |
-|---|---|---|
-| `job` | u64 | job id |
-| `tasks` | u32 | task count |
-
-### `vm_hired` — `TraceEvent::VmHired`
-
-| field | type | meaning |
-|---|---|---|
-| `vm` | u64 | vm id |
-";
-
-fn trace_diags(doc: &str, code: &str) -> Vec<String> {
-    let src = SourceFile::new(PathBuf::from("trace.rs"), code.to_string());
-    let model = parse_trace_model(&src);
-    check_trace_schema(Path::new("SCHEMA.md"), doc, Path::new("trace.rs"), &model)
-        .into_iter()
-        .map(|d| d.render())
-        .collect()
-}
-
-#[test]
-fn matching_schema_is_clean() {
-    assert_eq!(trace_diags(DOC, CODE), Vec::<String>::new());
-}
-
-#[test]
-fn undocumented_variant_is_drift() {
-    let doc = DOC.split("### `vm_hired`").next().expect("doc splits");
-    let out = trace_diags(doc, CODE);
-    assert!(out.iter().any(|d| d.contains("VmHired has no section")), "{out:?}");
-}
-
-#[test]
-fn phantom_section_is_drift() {
-    let doc = format!("{DOC}\n### `vm_lost` — `TraceEvent::VmLost`\n");
-    let out = trace_diags(&doc, CODE);
-    assert!(out.iter().any(|d| d.contains("TraceEvent::VmLost does not exist")), "{out:?}");
-}
-
-#[test]
-fn kind_tag_mismatch_is_drift() {
-    let doc = DOC.replace("### `vm_hired`", "### `vm_acquired`");
-    let out = trace_diags(&doc, CODE);
-    assert!(out.iter().any(|d| d.contains("disagrees with TraceEvent::kind")), "{out:?}");
-}
-
-#[test]
-fn missing_field_row_is_drift() {
-    let doc = DOC.replace("| `tasks` | u32 | task count |\n", "");
-    let out = trace_diags(&doc, CODE);
-    assert!(out.iter().any(|d| d.contains("missing a row for field `tasks`")), "{out:?}");
-}
-
-#[test]
-fn phantom_field_row_is_drift() {
-    let doc =
-        DOC.replace("| `vm` | u64 | vm id |", "| `vm` | u64 | vm id |\n| `ghost` | u8 | n/a |");
-    let out = trace_diags(&doc, CODE);
-    assert!(out.iter().any(|d| d.contains("documented field `ghost` does not exist")), "{out:?}");
-}
 
 const METRICS_DOC: &str = "\
 # Metrics
@@ -153,285 +62,4 @@ mod tests {
     let got = collect_registered_metrics(&[&src]);
     let names: Vec<&str> = got.keys().map(String::as_str).collect();
     assert_eq!(names, ["lat_metric", "live_metric"]);
-}
-
-#[test]
-fn real_trace_model_parses_non_vacuously() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let path = root.join("crates/sim/src/trace.rs");
-    let text = std::fs::read_to_string(&path).expect("trace.rs exists at the workspace root");
-    let model = parse_trace_model(&SourceFile::new(path, text));
-    assert!(model.variants.len() >= 10, "only {} variants parsed", model.variants.len());
-    assert_eq!(model.variants.len(), model.kinds.len(), "every variant has a kind arm");
-    assert!(!model.choice_names.is_empty(), "ScalingChoice labels parsed");
-}
-
-const STORE_CODE: &str = r#"
-impl EventKind {
-    /// Stable table tag.
-    pub fn tag(self) -> &'static str {
-        match self {
-            Self::JobArrived => "job_arrived",
-            Self::VmHired => "vm_hired",
-        }
-    }
-
-    /// Declared columns.
-    pub fn columns(self) -> &'static [ColumnSpec] {
-        const JOB_ARRIVED: &[ColumnSpec] = &[u32c("job"), f64c("size_units")];
-        const VM_HIRED: &[ColumnSpec] = &[u32c("vm"), dictc("tier")];
-        match self {
-            Self::JobArrived => JOB_ARRIVED,
-            Self::VmHired => VM_HIRED,
-        }
-    }
-}
-
-impl Agg {
-    /// Stable label.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Count => "count",
-            Self::P95 => "p95",
-        }
-    }
-}
-"#;
-
-const STORE_DOC: &str = "\
-# Store
-
-## Column layouts
-
-### `job_arrived`
-
-| column | type | notes |
-|---|---|---|
-| `job` | u32 | job id |
-| `size_units` | f64 | size |
-
-### `vm_hired`
-
-| column | type | notes |
-|---|---|---|
-| `vm` | u32 | vm id |
-| `tier` | dict | tier label |
-
-## Aggregations
-
-| aggregation | semantics |
-|---|---|
-| `count` | rows |
-| `p95` | tail |
-";
-
-fn store_diags(doc: &str, code: &str) -> Vec<String> {
-    let src = SourceFile::new(PathBuf::from("schema.rs"), code.to_string());
-    let model = parse_store_model(&src);
-    check_tracestore_doc(Path::new("TRACESTORE.md"), doc, Path::new("schema.rs"), &model)
-        .into_iter()
-        .map(|d| d.render())
-        .collect()
-}
-
-#[test]
-fn matching_store_doc_is_clean() {
-    assert_eq!(store_diags(STORE_DOC, STORE_CODE), Vec::<String>::new());
-}
-
-#[test]
-fn undocumented_store_kind_is_drift() {
-    let doc = STORE_DOC.split("### `vm_hired`").next().expect("doc splits");
-    let doc = format!("{doc}\n## Aggregations\n\n| `count` | rows |\n| `p95` | tail |\n");
-    let out = store_diags(&doc, STORE_CODE);
-    assert!(
-        out.iter().any(|d| d.contains("EventKind::VmHired (`vm_hired`) has no column table")),
-        "{out:?}"
-    );
-}
-
-#[test]
-fn phantom_store_table_is_drift() {
-    let doc = STORE_DOC.replace("### `vm_hired`", "### `vm_acquired`");
-    let out = store_diags(&doc, STORE_CODE);
-    assert!(out.iter().any(|d| d.contains("`vm_hired`) has no column table")), "{out:?}");
-    assert!(
-        out.iter().any(|d| d.contains("table `vm_acquired` does not correspond to any EventKind")),
-        "{out:?}"
-    );
-}
-
-#[test]
-fn missing_store_column_row_is_drift() {
-    let doc = STORE_DOC.replace("| `size_units` | f64 | size |\n", "");
-    let out = store_diags(&doc, STORE_CODE);
-    assert!(out.iter().any(|d| d.contains("missing a row for column `size_units`")), "{out:?}");
-}
-
-#[test]
-fn phantom_store_column_row_is_drift() {
-    let doc = STORE_DOC.replace(
-        "| `tier` | dict | tier label |",
-        "| `tier` | dict | tier label |\n| `ghost` | u8 | n/a |",
-    );
-    let out = store_diags(&doc, STORE_CODE);
-    assert!(
-        out.iter().any(|d| d.contains("documented column `ghost` is not declared for `vm_hired`")),
-        "{out:?}"
-    );
-}
-
-#[test]
-fn implicit_store_columns_are_never_drift() {
-    let doc = STORE_DOC.replace(
-        "| `vm` | u32 | vm id |",
-        "| `t` | f64 | sim time |\n| `tenant` | u32 | tenant |\n| `vm` | u32 | vm id |",
-    );
-    assert_eq!(store_diags(&doc, STORE_CODE), Vec::<String>::new());
-}
-
-#[test]
-fn aggregation_drift_is_caught_both_ways() {
-    let doc = STORE_DOC.replace("| `p95` | tail |\n", "");
-    let out = store_diags(&doc, STORE_CODE);
-    assert!(out.iter().any(|d| d.contains("aggregation `p95` is missing")), "{out:?}");
-
-    let doc = STORE_DOC.replace("| `p95` | tail |", "| `p95` | tail |\n| `p99` | tail |");
-    let out = store_diags(&doc, STORE_CODE);
-    assert!(out.iter().any(|d| d.contains("aggregation `p99` does not exist in Agg")), "{out:?}");
-}
-
-#[test]
-fn store_tables_outside_column_layouts_are_ignored() {
-    let doc = format!("{STORE_DOC}\n## Export format\n\n### `not_a_kind`\n\n| `x` | raw |\n");
-    assert_eq!(store_diags(&doc, STORE_CODE), Vec::<String>::new());
-}
-
-const SPANS_CODE: &str = r#"
-pub enum SegmentKind {
-    QueueWait,
-    Service,
-}
-
-impl SegmentKind {
-    /// Stable label.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::QueueWait => "queue_wait",
-            Self::Service => "service",
-        }
-    }
-}
-
-/// Violation counter.
-pub const SLO_VIOLATIONS_TOTAL: &str = "slo_violations_total";
-
-/// Burn-rate series.
-pub const SLO_BURN_RATE: &str = "slo_burn_rate";
-"#;
-
-const SPANS_DOC: &str = "\
-# Spans
-
-## Segment taxonomy
-
-| segment | meaning |
-|---|---|
-| `queue_wait` | waiting for a worker |
-| `service` | anchor subtask executing |
-
-## SLO metrics
-
-| metric | meaning |
-|---|---|
-| `slo_violations_total` | violation counter |
-| `slo_burn_rate` | burn rate |
-
-## Perfetto export
-
-| `not_a_segment` | this table is outside both sections |
-";
-
-fn spans_diags(doc: &str, code: &str) -> Vec<String> {
-    let src = SourceFile::new(PathBuf::from("schema.rs"), code.to_string());
-    let model = parse_spans_model(&src);
-    check_spans_doc(Path::new("SPANS.md"), doc, Path::new("schema.rs"), &model)
-        .into_iter()
-        .map(|d| d.render())
-        .collect()
-}
-
-#[test]
-fn matching_spans_doc_is_clean() {
-    assert_eq!(spans_diags(SPANS_DOC, SPANS_CODE), Vec::<String>::new());
-}
-
-#[test]
-fn undocumented_segment_is_drift() {
-    let doc = SPANS_DOC.replace("| `service` | anchor subtask executing |\n", "");
-    let out = spans_diags(&doc, SPANS_CODE);
-    assert!(out.iter().any(|d| d.contains("segment `service` has no row")), "{out:?}");
-}
-
-#[test]
-fn phantom_segment_row_is_drift() {
-    let doc = SPANS_DOC.replace(
-        "| `service` | anchor subtask executing |",
-        "| `service` | anchor subtask executing |\n| `gc_pause` | n/a |",
-    );
-    let out = spans_diags(&doc, SPANS_CODE);
-    assert!(
-        out.iter().any(|d| d.contains("documented segment `gc_pause` does not exist")),
-        "{out:?}"
-    );
-}
-
-#[test]
-fn undocumented_slo_metric_is_drift() {
-    let doc = SPANS_DOC.replace("| `slo_burn_rate` | burn rate |\n", "");
-    let out = spans_diags(&doc, SPANS_CODE);
-    assert!(out.iter().any(|d| d.contains("SLO metric `slo_burn_rate` has no row")), "{out:?}");
-}
-
-#[test]
-fn phantom_slo_metric_row_is_drift() {
-    let doc = SPANS_DOC.replace(
-        "| `slo_burn_rate` | burn rate |",
-        "| `slo_burn_rate` | burn rate |\n| `slo_error_budget` | n/a |",
-    );
-    let out = spans_diags(&doc, SPANS_CODE);
-    assert!(
-        out.iter().any(|d| d.contains("`slo_error_budget` is not declared in the span schema")),
-        "{out:?}"
-    );
-}
-
-#[test]
-fn spans_rows_outside_both_sections_are_ignored() {
-    // The trailing "## Perfetto export" table in the fixture is already
-    // outside both sections; a clean result proves it is skipped.
-    assert_eq!(spans_diags(SPANS_DOC, SPANS_CODE), Vec::<String>::new());
-}
-
-#[test]
-fn real_spans_model_parses_non_vacuously() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let path = root.join("crates/spans/src/schema.rs");
-    let text = std::fs::read_to_string(&path).expect("schema.rs exists at the workspace root");
-    let model = parse_spans_model(&SourceFile::new(path, text));
-    assert_eq!(model.segments.len(), 6, "all SegmentKind labels parsed: {:?}", model.segments);
-    assert_eq!(model.slo_metrics.len(), 3, "all SLO_* consts parsed: {:?}", model.slo_metrics);
-}
-
-#[test]
-fn real_store_model_parses_non_vacuously() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let path = root.join("crates/tracestore/src/schema.rs");
-    let text = std::fs::read_to_string(&path).expect("schema.rs exists at the workspace root");
-    let model = parse_store_model(&SourceFile::new(path, text));
-    assert!(model.columns.len() >= 15, "only {} kinds parsed", model.columns.len());
-    assert_eq!(model.columns.len(), model.tags.len(), "every kind has a tag arm");
-    assert_eq!(model.agg_names.len(), 6, "all Agg labels parsed");
-    let (_, dispatched) = &model.columns["SubtaskDispatched"];
-    assert!(dispatched.contains(&"tier".to_string()), "derived tier column parsed");
 }

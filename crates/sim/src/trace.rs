@@ -105,198 +105,313 @@ impl ScalingChoice {
     }
 }
 
-/// One observation from the simulation. Variants mirror the platform's
-/// event flow: jobs arrive and advance stage by stage, shard subtasks are
-/// dispatched to workers, workers are hired / booted / reshaped /
-/// released, and the scheduler takes scaling decisions with the Eq. 1
-/// delay-cost-versus-hire-cost numbers attached.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TraceEvent {
-    /// A job was admitted to the platform.
-    JobArrived {
-        /// Job number.
-        job: u64,
-        /// Dataset size in abstract units.
-        size_units: f64,
-        /// When the job was originally submitted, in TU. Equal to the
-        /// event time unless the fair-share admission gate deferred the
-        /// job first — the gap is the admission-deferred span segment.
-        submitted_tu: f64,
-    },
-    /// A job's next stage was enqueued (stage 0 = first).
-    JobStageAdvanced {
-        /// Job number.
-        job: u64,
-        /// Stage now queued.
-        stage: u32,
-        /// Shard subtasks enqueued for the stage.
-        shards: u32,
-        /// Cores (threads) each shard needs.
-        cores: u32,
-    },
-    /// A job finished its last stage and earned its reward.
-    JobCompleted {
-        /// Job number.
-        job: u64,
-        /// End-to-end latency in TU.
-        latency_tu: f64,
-        /// Reward earned (CU).
-        reward: f64,
-        /// Σ shards·threads of the job's plan (Fig. 5's x-axis).
-        core_stages: f64,
-    },
-    /// A completed job missed the configured latency SLO
-    /// (`latency_tu > target_tu`). Emitted right after the job's
-    /// `JobCompleted` event; only present when an SLO target is set.
-    SloViolation {
-        /// Job number.
-        job: u64,
-        /// End-to-end latency in TU.
-        latency_tu: f64,
-        /// The SLO latency target that was missed, in TU.
-        target_tu: f64,
-    },
-    /// A queued shard subtask started on a worker.
-    SubtaskDispatched {
-        /// Owning job.
-        job: u64,
-        /// Stage the subtask belongs to.
-        stage: u32,
-        /// Worker VM number.
-        vm: u64,
-        /// Cores the subtask occupies.
-        cores: u32,
-        /// Time the subtask spent queued, in TU.
-        waited_tu: f64,
-        /// Execution + staging time it will occupy the worker for, in TU.
-        busy_tu: f64,
-    },
-    /// A shard subtask finished and freed its worker.
-    SubtaskDone {
-        /// Owning job.
-        job: u64,
-        /// Stage the subtask belonged to.
-        stage: u32,
-        /// Worker VM number.
-        vm: u64,
-    },
-    /// A VM was hired on a tier and began booting.
-    VmHired {
-        /// VM number.
-        vm: u64,
-        /// Tier index (0 = private, 1 = public).
-        tier: u32,
-        /// Cores of the instance shape.
-        cores: u32,
-    },
-    /// A VM finished booting (or reshaping) and joined the idle pool.
-    VmBooted {
-        /// VM number.
-        vm: u64,
-        /// Cores of the instance shape.
-        cores: u32,
-    },
-    /// An idle VM was converted to a different shape (30 s penalty).
-    VmReshaped {
-        /// VM number.
-        vm: u64,
-        /// Tier index.
-        tier: u32,
-        /// Shape before the reshape.
-        cores_from: u32,
-        /// Shape after the reshape.
-        cores_to: u32,
-    },
-    /// A VM was released and its billing settled.
-    VmReleased {
-        /// VM number.
-        vm: u64,
-        /// Tier index.
-        tier: u32,
-        /// Cores of the instance shape.
-        cores: u32,
-    },
-    /// A horizontal-scaling decision for a stalled task class, with the
-    /// Eq. 1 comparison that justified it. `delay_cost`/`hire_cost` are
-    /// NaN when the deciding policy did not price the decision (the
-    /// always/never policies decide unconditionally).
-    ScalingDecision {
-        /// Pipeline stage of the stalled class.
-        stage: u32,
-        /// Cores per subtask of the stalled class.
-        cores: u32,
-        /// Distinct queued jobs considered in the Eq. 1 view.
-        queued_jobs: u32,
-        /// Eq. 1 delay cost of waiting out the projected delay (CU).
-        delay_cost: f64,
-        /// Cost of hiring capacity for boot + one task (CU).
-        hire_cost: f64,
-        /// What was decided.
-        choice: ScalingChoice,
-    },
-    /// Total queued subtasks across all classes changed.
-    QueueDepthSampled {
-        /// Queued subtasks over all classes.
-        depth: u32,
-    },
-    /// A fleet tenant's arrival batch was deferred by the fair-share
-    /// admission gate: the shared private pool is exhausted and the
-    /// tenant already holds at least its fair share of it.
-    AdmissionDeferred {
-        /// Tenant whose batch was deferred.
-        tenant: u32,
-        /// Jobs pushed onto the tenant's admission backlog.
-        jobs: u32,
-        /// Backlogged jobs after the deferral.
-        backlog: u32,
-    },
-    /// Previously deferred jobs cleared the fair-share admission gate.
-    AdmissionResumed {
-        /// Tenant whose backlog drained.
-        tenant: u32,
-        /// Jobs admitted from the backlog.
-        jobs: u32,
-        /// Backlogged jobs remaining after the resume.
-        backlog: u32,
-    },
-    /// End-of-run billing settlement for one tier.
-    TierSettled {
-        /// Tier index.
-        tier: u32,
-        /// Total cost charged against the tier (CU).
-        cost: f64,
-        /// Total core·TU provisioned on the tier.
-        core_tu: f64,
-    },
-    /// The session's event loop ended.
-    RunEnded {
-        /// Events the engine dispatched.
-        events_dispatched: u64,
-    },
+/// Declares the event vocabulary once: each variant's rustdoc, kind tag
+/// and fields (name, type, rustdoc). Expands to the [`TraceEvent`] enum,
+/// [`TraceEvent::kind`], [`TraceEvent::index`], [`TraceEvent::SCHEMA`]
+/// and the JSONL field writer, so adding an event kind is one
+/// declaration below.
+macro_rules! trace_events {
+    (
+        $(#[$enum_meta:meta])*
+        $vis:vis enum $name:ident {
+            $(
+                $(#[$variant_meta:meta])*
+                $variant:ident as $tag:literal {
+                    $(
+                        $(#[$field_meta:meta])*
+                        $field:ident: $ty:ty,
+                    )*
+                },
+            )*
+        }
+    ) => {
+        $(#[$enum_meta])*
+        $vis enum $name {
+            $(
+                $(#[$variant_meta])*
+                $variant {
+                    $(
+                        $(#[$field_meta])*
+                        $field: $ty,
+                    )*
+                },
+            )*
+        }
+
+        impl $name {
+            /// Every variant's declaration, in declaration order
+            /// (`SCHEMA[e.index()]` describes `e`).
+            pub const SCHEMA: &'static [EventSchema] = &[$(EventSchema {
+                tag: $tag,
+                variant: stringify!($variant),
+                fields: &[$(FieldSchema {
+                    name: stringify!($field),
+                    ty: <$ty as JsonField>::TYPE,
+                }),*],
+            }),*];
+
+            /// Stable lowercase kind tag (used by the JSONL writer and filters).
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Self::$variant { .. } => $tag,)*
+                }
+            }
+
+            /// Position of this event's variant in [`TraceEvent::SCHEMA`].
+            #[inline]
+            pub fn index(&self) -> usize {
+                enum Index {
+                    $($variant,)*
+                }
+                match self {
+                    $(Self::$variant { .. } => Index::$variant as usize,)*
+                }
+            }
+
+            /// Appends `,"field":value` for every payload field.
+            fn write_json_fields(&self, line: &mut String) {
+                match *self {
+                    $(Self::$variant { $($field),* } => {
+                        $(
+                            line.push_str(concat!(",\"", stringify!($field), "\":"));
+                            $field.write_json(line);
+                        )*
+                    })*
+                }
+            }
+        }
+    };
 }
 
-impl TraceEvent {
-    /// Stable lowercase kind tag (used by the JSONL writer and filters).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Self::JobArrived { .. } => "job_arrived",
-            Self::JobStageAdvanced { .. } => "job_stage_advanced",
-            Self::JobCompleted { .. } => "job_completed",
-            Self::SloViolation { .. } => "slo_violation",
-            Self::SubtaskDispatched { .. } => "subtask_dispatched",
-            Self::SubtaskDone { .. } => "subtask_done",
-            Self::VmHired { .. } => "vm_hired",
-            Self::VmBooted { .. } => "vm_booted",
-            Self::VmReshaped { .. } => "vm_reshaped",
-            Self::VmReleased { .. } => "vm_released",
-            Self::ScalingDecision { .. } => "scaling_decision",
-            Self::QueueDepthSampled { .. } => "queue_depth",
-            Self::AdmissionDeferred { .. } => "admission_deferred",
-            Self::AdmissionResumed { .. } => "admission_resumed",
-            Self::TierSettled { .. } => "tier_settled",
-            Self::RunEnded { .. } => "run_ended",
-        }
+/// One declared [`TraceEvent`] variant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EventSchema {
+    /// Stable kind tag, as [`TraceEvent::kind`] returns it.
+    pub tag: &'static str,
+    /// Rust variant name.
+    pub variant: &'static str,
+    /// Payload fields, in declaration (and JSONL) order.
+    pub fields: &'static [FieldSchema],
+}
+
+/// One payload field of a declared [`TraceEvent`] variant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FieldSchema {
+    /// Field name; also its JSONL key.
+    pub name: &'static str,
+    /// JSON type label: `u64`, `u32`, `f64` or `string`.
+    pub ty: &'static str,
+}
+
+/// A payload field type: its schema type label and JSONL encoding.
+trait JsonField: Copy {
+    /// Type label in [`FieldSchema::ty`].
+    const TYPE: &'static str;
+    /// Appends the JSON value.
+    fn write_json(self, line: &mut String);
+}
+
+impl JsonField for u64 {
+    const TYPE: &'static str = "u64";
+    fn write_json(self, line: &mut String) {
+        let _ = write!(line, "{self}");
     }
+}
+
+impl JsonField for u32 {
+    const TYPE: &'static str = "u32";
+    fn write_json(self, line: &mut String) {
+        let _ = write!(line, "{self}");
+    }
+}
+
+impl JsonField for f64 {
+    const TYPE: &'static str = "f64";
+    fn write_json(self, line: &mut String) {
+        push_json_f64(line, self);
+    }
+}
+
+impl JsonField for ScalingChoice {
+    const TYPE: &'static str = "string";
+    fn write_json(self, line: &mut String) {
+        line.push('"');
+        line.push_str(self.name());
+        line.push('"');
+    }
+}
+
+trace_events! {
+    /// One observation from the simulation. Variants mirror the platform's
+    /// event flow: jobs arrive and advance stage by stage, shard subtasks are
+    /// dispatched to workers, workers are hired / booted / reshaped /
+    /// released, and the scheduler takes scaling decisions with the Eq. 1
+    /// delay-cost-versus-hire-cost numbers attached.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum TraceEvent {
+        /// A job was admitted to the platform.
+        JobArrived as "job_arrived" {
+            /// Job number.
+            job: u64,
+            /// Dataset size in abstract units.
+            size_units: f64,
+            /// When the job was originally submitted, in TU. Equal to the
+            /// event time unless the fair-share admission gate deferred the
+            /// job first — the gap is the admission-deferred span segment.
+            submitted_tu: f64,
+        },
+        /// A job's next stage was enqueued (stage 0 = first).
+        JobStageAdvanced as "job_stage_advanced" {
+            /// Job number.
+            job: u64,
+            /// Stage now queued.
+            stage: u32,
+            /// Shard subtasks enqueued for the stage.
+            shards: u32,
+            /// Cores (threads) each shard needs.
+            cores: u32,
+        },
+        /// A job finished its last stage and earned its reward.
+        JobCompleted as "job_completed" {
+            /// Job number.
+            job: u64,
+            /// End-to-end latency in TU.
+            latency_tu: f64,
+            /// Reward earned (CU).
+            reward: f64,
+            /// Σ shards·threads of the job's plan (Fig. 5's x-axis).
+            core_stages: f64,
+        },
+        /// A completed job missed the configured latency SLO
+        /// (`latency_tu > target_tu`). Emitted right after the job's
+        /// `JobCompleted` event; only present when an SLO target is set.
+        SloViolation as "slo_violation" {
+            /// Job number.
+            job: u64,
+            /// End-to-end latency in TU.
+            latency_tu: f64,
+            /// The SLO latency target that was missed, in TU.
+            target_tu: f64,
+        },
+        /// A queued shard subtask started on a worker.
+        SubtaskDispatched as "subtask_dispatched" {
+            /// Owning job.
+            job: u64,
+            /// Stage the subtask belongs to.
+            stage: u32,
+            /// Worker VM number.
+            vm: u64,
+            /// Cores the subtask occupies.
+            cores: u32,
+            /// Time the subtask spent queued, in TU.
+            waited_tu: f64,
+            /// Execution + staging time it will occupy the worker for, in TU.
+            busy_tu: f64,
+        },
+        /// A shard subtask finished and freed its worker.
+        SubtaskDone as "subtask_done" {
+            /// Owning job.
+            job: u64,
+            /// Stage the subtask belonged to.
+            stage: u32,
+            /// Worker VM number.
+            vm: u64,
+        },
+        /// A VM was hired on a tier and began booting.
+        VmHired as "vm_hired" {
+            /// VM number.
+            vm: u64,
+            /// Tier index (0 = private, 1 = public).
+            tier: u32,
+            /// Cores of the instance shape.
+            cores: u32,
+        },
+        /// A VM finished booting (or reshaping) and joined the idle pool.
+        VmBooted as "vm_booted" {
+            /// VM number.
+            vm: u64,
+            /// Cores of the instance shape.
+            cores: u32,
+        },
+        /// An idle VM was converted to a different shape (30 s penalty).
+        VmReshaped as "vm_reshaped" {
+            /// VM number.
+            vm: u64,
+            /// Tier index.
+            tier: u32,
+            /// Shape before the reshape.
+            cores_from: u32,
+            /// Shape after the reshape.
+            cores_to: u32,
+        },
+        /// A VM was released and its billing settled.
+        VmReleased as "vm_released" {
+            /// VM number.
+            vm: u64,
+            /// Tier index.
+            tier: u32,
+            /// Cores of the instance shape.
+            cores: u32,
+        },
+        /// A horizontal-scaling decision for a stalled task class, with the
+        /// Eq. 1 comparison that justified it. `delay_cost`/`hire_cost` are
+        /// NaN when the deciding policy did not price the decision (the
+        /// always/never policies decide unconditionally).
+        ScalingDecision as "scaling_decision" {
+            /// Pipeline stage of the stalled class.
+            stage: u32,
+            /// Cores per subtask of the stalled class.
+            cores: u32,
+            /// Distinct queued jobs considered in the Eq. 1 view.
+            queued_jobs: u32,
+            /// Eq. 1 delay cost of waiting out the projected delay (CU).
+            delay_cost: f64,
+            /// Cost of hiring capacity for boot + one task (CU).
+            hire_cost: f64,
+            /// What was decided.
+            choice: ScalingChoice,
+        },
+        /// Total queued subtasks across all classes changed.
+        QueueDepthSampled as "queue_depth" {
+            /// Queued subtasks over all classes.
+            depth: u32,
+        },
+        /// A fleet tenant's arrival batch was deferred by the fair-share
+        /// admission gate: the shared private pool is exhausted and the
+        /// tenant already holds at least its fair share of it.
+        AdmissionDeferred as "admission_deferred" {
+            /// Tenant whose batch was deferred.
+            tenant: u32,
+            /// Jobs pushed onto the tenant's admission backlog.
+            jobs: u32,
+            /// Backlogged jobs after the deferral.
+            backlog: u32,
+        },
+        /// Previously deferred jobs cleared the fair-share admission gate.
+        AdmissionResumed as "admission_resumed" {
+            /// Tenant whose backlog drained.
+            tenant: u32,
+            /// Jobs admitted from the backlog.
+            jobs: u32,
+            /// Backlogged jobs remaining after the resume.
+            backlog: u32,
+        },
+        /// End-of-run billing settlement for one tier.
+        TierSettled as "tier_settled" {
+            /// Tier index.
+            tier: u32,
+            /// Total cost charged against the tier (CU).
+            cost: f64,
+            /// Total core·TU provisioned on the tier.
+            core_tu: f64,
+        },
+        /// The session's event loop ended.
+        RunEnded as "run_ended" {
+            /// Events the engine dispatched.
+            events_dispatched: u64,
+        },
+    }
+
 }
 
 /// A consumer of trace events. Observers are driven synchronously from
@@ -510,21 +625,13 @@ pub struct JsonlWriter<W: io::Write> {
     out: W,
     line: String,
     errored: bool,
-    tenant: Option<u32>,
 }
 
 impl<W: io::Write> JsonlWriter<W> {
     /// Wraps a writer. I/O errors are latched: the first failure stops
     /// further writes rather than panicking mid-simulation.
     pub fn new(out: W) -> Self {
-        Self { out, line: String::with_capacity(160), errored: false, tenant: None }
-    }
-
-    /// Wraps a writer that stamps every line with a `"tenant":N` field
-    /// (directly after `"t"`), for fleet runs where one file per tenant
-    /// would be unwieldy. [`JsonlWriter::new`] output is unchanged.
-    pub fn with_tenant(out: W, tenant: u32) -> Self {
-        Self { out, line: String::with_capacity(160), errored: false, tenant: Some(tenant) }
+        Self { out, line: String::with_capacity(160), errored: false }
     }
 
     /// Whether a write error occurred (output is truncated).
@@ -557,98 +664,8 @@ impl<W: io::Write> Observer for JsonlWriter<W> {
         line.clear();
         let _ = write!(line, "{{\"t\":");
         push_json_f64(line, at.as_tu());
-        if let Some(tenant) = self.tenant {
-            let _ = write!(line, ",\"tenant\":{tenant}");
-        }
         let _ = write!(line, ",\"kind\":\"{}\"", event.kind());
-        match *event {
-            TraceEvent::JobArrived { job, size_units, submitted_tu } => {
-                let _ = write!(line, ",\"job\":{job},\"size_units\":");
-                push_json_f64(line, size_units);
-                let _ = write!(line, ",\"submitted_tu\":");
-                push_json_f64(line, submitted_tu);
-            }
-            TraceEvent::JobStageAdvanced { job, stage, shards, cores } => {
-                let _ = write!(
-                    line,
-                    ",\"job\":{job},\"stage\":{stage},\"shards\":{shards},\"cores\":{cores}"
-                );
-            }
-            TraceEvent::JobCompleted { job, latency_tu, reward, core_stages } => {
-                let _ = write!(line, ",\"job\":{job},\"latency_tu\":");
-                push_json_f64(line, latency_tu);
-                let _ = write!(line, ",\"reward\":");
-                push_json_f64(line, reward);
-                let _ = write!(line, ",\"core_stages\":");
-                push_json_f64(line, core_stages);
-            }
-            TraceEvent::SloViolation { job, latency_tu, target_tu } => {
-                let _ = write!(line, ",\"job\":{job},\"latency_tu\":");
-                push_json_f64(line, latency_tu);
-                let _ = write!(line, ",\"target_tu\":");
-                push_json_f64(line, target_tu);
-            }
-            TraceEvent::SubtaskDispatched { job, stage, vm, cores, waited_tu, busy_tu } => {
-                let _ =
-                    write!(line, ",\"job\":{job},\"stage\":{stage},\"vm\":{vm},\"cores\":{cores}");
-                let _ = write!(line, ",\"waited_tu\":");
-                push_json_f64(line, waited_tu);
-                let _ = write!(line, ",\"busy_tu\":");
-                push_json_f64(line, busy_tu);
-            }
-            TraceEvent::SubtaskDone { job, stage, vm } => {
-                let _ = write!(line, ",\"job\":{job},\"stage\":{stage},\"vm\":{vm}");
-            }
-            TraceEvent::VmHired { vm, tier, cores } => {
-                let _ = write!(line, ",\"vm\":{vm},\"tier\":{tier},\"cores\":{cores}");
-            }
-            TraceEvent::VmBooted { vm, cores } => {
-                let _ = write!(line, ",\"vm\":{vm},\"cores\":{cores}");
-            }
-            TraceEvent::VmReshaped { vm, tier, cores_from, cores_to } => {
-                let _ = write!(
-                    line,
-                    ",\"vm\":{vm},\"tier\":{tier},\"cores_from\":{cores_from},\"cores_to\":{cores_to}"
-                );
-            }
-            TraceEvent::VmReleased { vm, tier, cores } => {
-                let _ = write!(line, ",\"vm\":{vm},\"tier\":{tier},\"cores\":{cores}");
-            }
-            TraceEvent::ScalingDecision {
-                stage,
-                cores,
-                queued_jobs,
-                delay_cost,
-                hire_cost,
-                choice,
-            } => {
-                let _ = write!(
-                    line,
-                    ",\"stage\":{stage},\"cores\":{cores},\"queued_jobs\":{queued_jobs}"
-                );
-                let _ = write!(line, ",\"delay_cost\":");
-                push_json_f64(line, delay_cost);
-                let _ = write!(line, ",\"hire_cost\":");
-                push_json_f64(line, hire_cost);
-                let _ = write!(line, ",\"choice\":\"{}\"", choice.name());
-            }
-            TraceEvent::QueueDepthSampled { depth } => {
-                let _ = write!(line, ",\"depth\":{depth}");
-            }
-            TraceEvent::AdmissionDeferred { tenant, jobs, backlog }
-            | TraceEvent::AdmissionResumed { tenant, jobs, backlog } => {
-                let _ = write!(line, ",\"tenant\":{tenant},\"jobs\":{jobs},\"backlog\":{backlog}");
-            }
-            TraceEvent::TierSettled { tier, cost, core_tu } => {
-                let _ = write!(line, ",\"tier\":{tier},\"cost\":");
-                push_json_f64(line, cost);
-                let _ = write!(line, ",\"core_tu\":");
-                push_json_f64(line, core_tu);
-            }
-            TraceEvent::RunEnded { events_dispatched } => {
-                let _ = write!(line, ",\"events_dispatched\":{events_dispatched}");
-            }
-        }
+        event.write_json_fields(line);
         line.push('}');
         line.push('\n');
         if self.out.write_all(line.as_bytes()).is_err() {
@@ -743,61 +760,95 @@ mod tests {
         }
     }
 
+    /// Byte pin for the JSONL writer: one hand-built sample per variant
+    /// (every `ScalingChoice` label, NaN costs, a u64 id above
+    /// `u32::MAX`) against literal lines. The fixed-seed golden trace is a
+    /// solo run without admission, SLO or reshape lines, so this is the
+    /// only byte gate for those variants.
     #[test]
-    fn every_variant_serialises() {
+    fn every_variant_writes_pinned_jsonl() {
+        let big = u64::from(u32::MAX) + 7;
+        let decision = |choice, delay_cost, hire_cost| TraceEvent::ScalingDecision {
+            stage: 6,
+            cores: 16,
+            queued_jobs: 4_000_000_000,
+            delay_cost,
+            hire_cost,
+            choice,
+        };
         let events = [
-            TraceEvent::JobArrived { job: 1, size_units: 2.0, submitted_tu: 0.0 },
-            TraceEvent::JobStageAdvanced { job: 1, stage: 0, shards: 4, cores: 2 },
-            TraceEvent::JobCompleted { job: 1, latency_tu: 3.0, reward: 4.0, core_stages: 8.0 },
-            TraceEvent::SloViolation { job: 1, latency_tu: 30.0, target_tu: 26.0 },
-            TraceEvent::SubtaskDispatched {
+            TraceEvent::JobArrived { job: big, size_units: 5.798604725604796, submitted_tu: 0.1 },
+            TraceEvent::JobStageAdvanced { job: 3, stage: 6, shards: 1, cores: 8 },
+            TraceEvent::JobCompleted {
                 job: 1,
+                latency_tu: 15.8160051595641,
+                reward: -2.5,
+                core_stages: 37.0,
+            },
+            TraceEvent::SloViolation { job: 1, latency_tu: 1e-7, target_tu: 1e21 },
+            TraceEvent::SubtaskDispatched {
+                job: 0,
                 stage: 0,
-                vm: 2,
-                cores: 2,
-                waited_tu: 0.5,
-                busy_tu: 1.5,
+                vm: big,
+                cores: 8,
+                waited_tu: 0.0,
+                busy_tu: 1.7648625957560722,
             },
-            TraceEvent::SubtaskDone { job: 1, stage: 0, vm: 2 },
-            TraceEvent::VmHired { vm: 2, tier: 1, cores: 2 },
-            TraceEvent::VmBooted { vm: 2, cores: 2 },
-            TraceEvent::VmReshaped { vm: 2, tier: 0, cores_from: 2, cores_to: 4 },
-            TraceEvent::VmReleased { vm: 2, tier: 1, cores: 2 },
-            TraceEvent::ScalingDecision {
-                stage: 1,
-                cores: 2,
-                queued_jobs: 5,
-                delay_cost: 1.0,
-                hire_cost: 2.0,
-                choice: ScalingChoice::Wait,
-            },
-            TraceEvent::QueueDepthSampled { depth: 11 },
+            TraceEvent::SubtaskDone { job: 1, stage: 0, vm: 38 },
+            TraceEvent::VmHired { vm: 0, tier: 0, cores: 1 },
+            TraceEvent::VmBooted { vm: 0, cores: 1 },
+            TraceEvent::VmReshaped { vm: 12, tier: 1, cores_from: 1, cores_to: 8 },
+            TraceEvent::VmReleased { vm: 58, tier: 0, cores: 16 },
+            decision(ScalingChoice::Wait, 10.5, 2.25),
+            decision(ScalingChoice::HirePrivate, f64::NAN, f64::NAN),
+            decision(ScalingChoice::ThrottledPrivate, f64::INFINITY, 0.0),
+            decision(ScalingChoice::HirePublic, -0.0, f64::NEG_INFINITY),
+            decision(ScalingChoice::Reshape, 1.0, 3.0),
+            TraceEvent::QueueDepthSampled { depth: u32::MAX },
             TraceEvent::AdmissionDeferred { tenant: 3, jobs: 2, backlog: 2 },
             TraceEvent::AdmissionResumed { tenant: 3, jobs: 2, backlog: 0 },
-            TraceEvent::TierSettled { tier: 0, cost: 100.0, core_tu: 20.0 },
-            TraceEvent::RunEnded { events_dispatched: 12345 },
+            TraceEvent::TierSettled { tier: 1, cost: f64::NAN, core_tu: 621972.7974353022 },
+            TraceEvent::RunEnded { events_dispatched: u64::MAX },
         ];
         let mut w = JsonlWriter::new(Vec::new());
-        for e in &events {
-            w.on_event(SimTime::new(0.0), e);
+        for (i, e) in events.iter().enumerate() {
+            w.on_event(SimTime::new(i as f64 * 0.5), e);
         }
         let out = String::from_utf8(w.into_inner()).unwrap();
-        assert_eq!(out.lines().count(), events.len());
-        for (line, e) in out.lines().zip(&events) {
-            assert!(line.contains(&format!("\"kind\":\"{}\"", e.kind())), "{line}");
-        }
-    }
+        let expected = [
+            r#"{"t":0,"kind":"job_arrived","job":4294967302,"size_units":5.798604725604796,"submitted_tu":0.1}"#,
+            r#"{"t":0.5,"kind":"job_stage_advanced","job":3,"stage":6,"shards":1,"cores":8}"#,
+            r#"{"t":1,"kind":"job_completed","job":1,"latency_tu":15.8160051595641,"reward":-2.5,"core_stages":37}"#,
+            r#"{"t":1.5,"kind":"slo_violation","job":1,"latency_tu":0.0000001,"target_tu":1000000000000000000000}"#,
+            r#"{"t":2,"kind":"subtask_dispatched","job":0,"stage":0,"vm":4294967302,"cores":8,"waited_tu":0,"busy_tu":1.7648625957560722}"#,
+            r#"{"t":2.5,"kind":"subtask_done","job":1,"stage":0,"vm":38}"#,
+            r#"{"t":3,"kind":"vm_hired","vm":0,"tier":0,"cores":1}"#,
+            r#"{"t":3.5,"kind":"vm_booted","vm":0,"cores":1}"#,
+            r#"{"t":4,"kind":"vm_reshaped","vm":12,"tier":1,"cores_from":1,"cores_to":8}"#,
+            r#"{"t":4.5,"kind":"vm_released","vm":58,"tier":0,"cores":16}"#,
+            r#"{"t":5,"kind":"scaling_decision","stage":6,"cores":16,"queued_jobs":4000000000,"delay_cost":10.5,"hire_cost":2.25,"choice":"wait"}"#,
+            r#"{"t":5.5,"kind":"scaling_decision","stage":6,"cores":16,"queued_jobs":4000000000,"delay_cost":null,"hire_cost":null,"choice":"hire_private"}"#,
+            r#"{"t":6,"kind":"scaling_decision","stage":6,"cores":16,"queued_jobs":4000000000,"delay_cost":null,"hire_cost":0,"choice":"throttled_private"}"#,
+            r#"{"t":6.5,"kind":"scaling_decision","stage":6,"cores":16,"queued_jobs":4000000000,"delay_cost":-0,"hire_cost":null,"choice":"hire_public"}"#,
+            r#"{"t":7,"kind":"scaling_decision","stage":6,"cores":16,"queued_jobs":4000000000,"delay_cost":1,"hire_cost":3,"choice":"reshape"}"#,
+            r#"{"t":7.5,"kind":"queue_depth","depth":4294967295}"#,
+            r#"{"t":8,"kind":"admission_deferred","tenant":3,"jobs":2,"backlog":2}"#,
+            r#"{"t":8.5,"kind":"admission_resumed","tenant":3,"jobs":2,"backlog":0}"#,
+            r#"{"t":9,"kind":"tier_settled","tier":1,"cost":null,"core_tu":621972.7974353022}"#,
+            r#"{"t":9.5,"kind":"run_ended","events_dispatched":18446744073709551615}"#,
+        ];
+        assert_eq!(out.lines().collect::<Vec<_>>(), expected);
 
-    #[test]
-    fn tenant_stamped_writer_injects_field_after_t() {
-        let mut w = JsonlWriter::with_tenant(Vec::new(), 42);
-        w.on_event(SimTime::new(1.5), &ev());
-        let out = String::from_utf8(w.into_inner()).unwrap();
-        assert_eq!(
-            out.trim_end(),
-            "{\"t\":1.5,\"tenant\":42,\"kind\":\"job_arrived\",\"job\":7,\"size_units\":5.25,\
-             \"submitted_tu\":1.5}"
-        );
+        // The samples cover the whole schema, which names the written keys.
+        let covered: std::collections::BTreeSet<usize> = events.iter().map(|e| e.index()).collect();
+        assert_eq!(covered.len(), TraceEvent::SCHEMA.len());
+        for (line, e) in out.lines().zip(&events) {
+            let schema = &TraceEvent::SCHEMA[e.index()];
+            assert_eq!(schema.tag, e.kind());
+            let keys: Vec<String> =
+                schema.fields.iter().map(|f| format!("\"{}\":", f.name)).collect();
+            assert!(keys.iter().all(|k| line.contains(k.as_str())), "{line}");
+        }
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! The store's data model: one column set per trace-event kind.
 //!
-//! Every [`TraceEvent`] variant maps to one
-//! [`EventKind`] table whose typed columns are declared here, in
-//! [`EventKind::columns`]. The declaration is the single source of truth
-//! for the whole crate: ingest pushes values in declaration order, the
-//! query layer resolves column names against it, the export writes
-//! columns in declaration order, and `scan-lint`'s `store-doc-drift`
-//! rule cross-checks it against `docs/TRACESTORE.md` in both directions
-//! (so a column added or renamed here without its documentation row
-//! fails CI, and vice versa).
+//! Every [`TraceEvent`] variant maps to one [`EventKind`] table, in
+//! [`TraceEvent::SCHEMA`] order: [`EventKind::of`] maps through
+//! [`TraceEvent::index`] and [`EventKind::tag`] reads the schema, so the
+//! kinds are not listed twice. What is declared here is the store's own
+//! storage decisions, in [`EventKind::columns`]: `u32` ids,
+//! dictionary-encoded tiers, the implicit `tenant` column and the derived
+//! dispatch `tier`. Ingest pushes values in declaration order, the query
+//! layer resolves column names against it, the export writes columns in
+//! declaration order, and the root `tests/doc_tables.rs` checks it
+//! against `docs/TRACESTORE.md` in both directions (so a column added or
+//! renamed here without its documentation row fails CI, and vice versa).
 //!
 //! Two implicit columns precede every table's declared columns and are
 //! therefore *not* listed in [`EventKind::columns`]:
@@ -105,8 +107,9 @@ pub enum EventKind {
     RunEnded,
 }
 
-/// Every kind, in table order (the order tables appear in the export).
-pub const ALL_KINDS: [EventKind; 16] = [
+/// Every kind, in table order (the order tables appear in the export):
+/// the declaration order of [`TraceEvent::SCHEMA`], one table per event.
+pub const ALL_KINDS: [EventKind; TraceEvent::SCHEMA.len()] = [
     EventKind::JobArrived,
     EventKind::JobStageAdvanced,
     EventKind::JobCompleted,
@@ -128,48 +131,14 @@ pub const ALL_KINDS: [EventKind; 16] = [
 impl EventKind {
     /// The kind an event is stored under.
     pub fn of(event: &TraceEvent) -> EventKind {
-        match event {
-            TraceEvent::JobArrived { .. } => Self::JobArrived,
-            TraceEvent::JobStageAdvanced { .. } => Self::JobStageAdvanced,
-            TraceEvent::JobCompleted { .. } => Self::JobCompleted,
-            TraceEvent::SloViolation { .. } => Self::SloViolation,
-            TraceEvent::SubtaskDispatched { .. } => Self::SubtaskDispatched,
-            TraceEvent::SubtaskDone { .. } => Self::SubtaskDone,
-            TraceEvent::VmHired { .. } => Self::VmHired,
-            TraceEvent::VmBooted { .. } => Self::VmBooted,
-            TraceEvent::VmReshaped { .. } => Self::VmReshaped,
-            TraceEvent::VmReleased { .. } => Self::VmReleased,
-            TraceEvent::ScalingDecision { .. } => Self::ScalingDecision,
-            TraceEvent::QueueDepthSampled { .. } => Self::QueueDepth,
-            TraceEvent::AdmissionDeferred { .. } => Self::AdmissionDeferred,
-            TraceEvent::AdmissionResumed { .. } => Self::AdmissionResumed,
-            TraceEvent::TierSettled { .. } => Self::TierSettled,
-            TraceEvent::RunEnded { .. } => Self::RunEnded,
-        }
+        ALL_KINDS[event.index()]
     }
 
     /// Stable lowercase table tag; equals
     /// [`TraceEvent::kind`](scan_sim::TraceEvent::kind) for the stored
     /// variant.
     pub fn tag(self) -> &'static str {
-        match self {
-            Self::JobArrived => "job_arrived",
-            Self::JobStageAdvanced => "job_stage_advanced",
-            Self::JobCompleted => "job_completed",
-            Self::SloViolation => "slo_violation",
-            Self::SubtaskDispatched => "subtask_dispatched",
-            Self::SubtaskDone => "subtask_done",
-            Self::VmHired => "vm_hired",
-            Self::VmBooted => "vm_booted",
-            Self::VmReshaped => "vm_reshaped",
-            Self::VmReleased => "vm_released",
-            Self::ScalingDecision => "scaling_decision",
-            Self::QueueDepth => "queue_depth",
-            Self::AdmissionDeferred => "admission_deferred",
-            Self::AdmissionResumed => "admission_resumed",
-            Self::TierSettled => "tier_settled",
-            Self::RunEnded => "run_ended",
-        }
+        TraceEvent::SCHEMA[self as usize].tag
     }
 
     /// The declared columns of this kind's table, in storage order.
@@ -277,53 +246,21 @@ impl Agg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scan_sim::ScalingChoice;
 
     #[test]
-    fn kind_tags_match_trace_event_kind() {
-        let samples = [
-            TraceEvent::JobArrived { job: 1, size_units: 2.0, submitted_tu: 0.0 },
-            TraceEvent::JobStageAdvanced { job: 1, stage: 0, shards: 4, cores: 2 },
-            TraceEvent::JobCompleted { job: 1, latency_tu: 3.0, reward: 4.0, core_stages: 8.0 },
-            TraceEvent::SloViolation { job: 1, latency_tu: 30.0, target_tu: 26.0 },
-            TraceEvent::SubtaskDispatched {
-                job: 1,
-                stage: 0,
-                vm: 2,
-                cores: 2,
-                waited_tu: 0.5,
-                busy_tu: 1.5,
-            },
-            TraceEvent::SubtaskDone { job: 1, stage: 0, vm: 2 },
-            TraceEvent::VmHired { vm: 2, tier: 1, cores: 2 },
-            TraceEvent::VmBooted { vm: 2, cores: 2 },
-            TraceEvent::VmReshaped { vm: 2, tier: 0, cores_from: 2, cores_to: 4 },
-            TraceEvent::VmReleased { vm: 2, tier: 1, cores: 2 },
-            TraceEvent::ScalingDecision {
-                stage: 1,
-                cores: 2,
-                queued_jobs: 5,
-                delay_cost: 1.0,
-                hire_cost: 2.0,
-                choice: ScalingChoice::Wait,
-            },
-            TraceEvent::QueueDepthSampled { depth: 11 },
-            TraceEvent::AdmissionDeferred { tenant: 3, jobs: 2, backlog: 2 },
-            TraceEvent::AdmissionResumed { tenant: 3, jobs: 2, backlog: 0 },
-            TraceEvent::TierSettled { tier: 0, cost: 100.0, core_tu: 20.0 },
-            TraceEvent::RunEnded { events_dispatched: 12345 },
-        ];
-        assert_eq!(samples.len(), ALL_KINDS.len(), "one sample per kind");
-        for (sample, kind) in samples.iter().zip(ALL_KINDS) {
-            assert_eq!(EventKind::of(sample), kind);
-            assert_eq!(kind.tag(), sample.kind(), "table tag equals the JSONL kind tag");
-        }
-    }
-
-    #[test]
-    fn kind_order_matches_discriminants() {
-        for (i, kind) in ALL_KINDS.iter().enumerate() {
+    fn kinds_follow_the_trace_schema() {
+        for (i, (kind, event)) in ALL_KINDS.iter().zip(TraceEvent::SCHEMA).enumerate() {
             assert_eq!(*kind as usize, i);
+            assert!(event.variant.starts_with(&format!("{kind:?}")), "{kind:?} vs {event:?}");
+            // Columns are the event's fields, except the admission events'
+            // `tenant` (the implicit column) and the derived dispatch `tier`.
+            let fields: Vec<&str> =
+                event.fields.iter().map(|f| f.name).filter(|&f| f != "tenant").collect();
+            let mut columns: Vec<&str> = kind.columns().iter().map(|c| c.name).collect();
+            if *kind == EventKind::SubtaskDispatched {
+                assert_eq!(columns.pop(), Some("tier"));
+            }
+            assert_eq!(columns, fields, "{}", kind.tag());
         }
     }
 

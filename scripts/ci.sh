@@ -11,7 +11,7 @@ cd "$(dirname "$0")/.."
 
 quick="${1:-}"
 
-echo "==> scan-lint --deny-warnings (determinism + hygiene + doc drift + semantic passes)"
+echo "==> scan-lint --deny-warnings (determinism + hygiene + metrics doc drift + semantic passes)"
 cargo run -q -p scan-lint -- --deny-warnings
 
 echo "==> scan-lint --json (machine-output schema check)"
@@ -42,6 +42,9 @@ if [[ "$quick" != "quick" ]]; then
     echo "==> cargo build --release (tier-1)"
     cargo build --release
 fi
+
+echo "==> doc tables (TRACE_SCHEMA / TRACESTORE / SPANS match the code)"
+cargo test -q --test doc_tables
 
 echo "==> cargo test -q (tier-1, root package)"
 cargo test -q

@@ -121,8 +121,9 @@ def fmt(v):
 SCTS_MAGIC = b"SCTS"
 SCTS_VERSION = 2
 # Declared columns per table, in table order. Mirrors EventKind::columns
-# in crates/tracestore/src/schema.rs (which scan-lint's store-doc-drift
-# rule pins against docs/TRACESTORE.md). u = varint int, f = raw f64 LE,
+# in crates/tracestore/src/schema.rs (which tests/doc_tables.rs pins
+# against docs/TRACESTORE.md): SCTS v2 stores no column names, so the
+# reader must know them. u = varint int, f = raw f64 LE,
 # d = dictionary-encoded label.
 SCTS_SCHEMA = [
     ("job_arrived", [("job", "u"), ("size_units", "f"), ("submitted_tu", "f")]),
