@@ -13,7 +13,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use scan_bench::EXPERIMENT_SEED;
 use scan_platform::config::{ScanConfig, VariableParams};
-use scan_platform::session::run_session;
+use scan_platform::Platform;
 use scan_sched::learned::EpsilonGreedyPlanner;
 use scan_sched::plan::{candidate_plans, evaluate_plan, PlanObjective};
 use scan_sched::scaling::ScalingPolicy;
@@ -26,7 +26,7 @@ fn session(scaling: ScalingPolicy, forced: Option<Vec<(u32, u32)>>, reshape: boo
     cfg.fixed.sim_time_tu = 400.0;
     cfg.forced_plan = forced;
     cfg.allow_reshape = reshape;
-    run_session(&cfg, 0).profit_per_run
+    Platform::new(cfg, 0).run().profit_per_run
 }
 
 fn ablate_delay_cost_lookahead(c: &mut Criterion) {

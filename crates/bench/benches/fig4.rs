@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use scan_bench::EXPERIMENT_SEED;
 use scan_platform::config::{ScanConfig, VariableParams};
-use scan_platform::session::run_session;
+use scan_platform::Platform;
 use scan_sched::scaling::ScalingPolicy;
 
 fn bench_fig4_sessions(c: &mut Criterion) {
@@ -24,7 +24,7 @@ fn bench_fig4_sessions(c: &mut Criterion) {
                             EXPERIMENT_SEED,
                         );
                         cfg.fixed.sim_time_tu = 500.0;
-                        let m = run_session(&cfg, 0);
+                        let m = Platform::new(cfg, 0).run();
                         assert!(m.jobs_completed > 0);
                         black_box(m.profit_per_run)
                     })

@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use scan_bench::EXPERIMENT_SEED;
 use scan_platform::config::{RewardKind, ScanConfig, VariableParams};
-use scan_platform::session::run_session;
+use scan_platform::Platform;
 use scan_sched::alloc::AllocationPolicy;
 use scan_sched::scaling::ScalingPolicy;
 
@@ -33,7 +33,7 @@ fn bench_fig5_points(c: &mut Criterion) {
                 cfg.fixed.sim_time_tu = 500.0;
                 cfg.allow_reshape = true;
                 cfg.forced_plan = Some(plan.clone());
-                let m = run_session(&cfg, 0);
+                let m = Platform::new(cfg, 0).run();
                 black_box(m.reward_to_cost)
             })
         });

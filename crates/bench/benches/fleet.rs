@@ -14,7 +14,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use scan_bench::fleet_cfg;
-use scan_platform::fleet::run_fleet;
+use scan_platform::fleet::run_fleet_with;
+use scan_sim::NullObserverFactory;
 
 fn bench_fleet(c: &mut Criterion) {
     let mut group = c.benchmark_group("fleet");
@@ -22,7 +23,7 @@ fn bench_fleet(c: &mut Criterion) {
         let cfg = fleet_cfg(tenants);
         group.throughput(Throughput::Elements(tenants as u64 * cfg.jobs_per_tenant));
         group.bench_function(format!("tenants/{tenants}"), |b| {
-            b.iter(|| black_box(run_fleet(&cfg, 0).jobs_completed))
+            b.iter(|| black_box(run_fleet_with(&cfg, 0, &NullObserverFactory).0.jobs_completed))
         });
     }
     group.finish();

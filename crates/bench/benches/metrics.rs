@@ -8,8 +8,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use scan_metrics::{Metrics, SeriesKind};
 use scan_platform::config::{ScanConfig, VariableParams};
-use scan_platform::instrument::run_session_instrumented;
-use scan_platform::session::run_session;
+use scan_platform::Platform;
 use scan_sched::scaling::ScalingPolicy;
 
 fn bench_handle(c: &mut Criterion) {
@@ -80,12 +79,17 @@ fn bench_session(c: &mut Criterion) {
 
     group.bench_function("plain", |b| {
         let cfg = short_config();
-        b.iter(|| black_box(run_session(&cfg, 0)))
+        b.iter(|| black_box(Platform::new(cfg.clone(), 0).run()))
     });
 
     group.bench_function("instrumented", |b| {
         let cfg = short_config();
-        b.iter(|| black_box(run_session_instrumented(&cfg, 0, 5.0, false)))
+        b.iter(|| {
+            let metrics = Metrics::enabled(5.0);
+            let mut platform = Platform::new(cfg.clone(), 0);
+            platform.set_metrics(&metrics);
+            black_box((platform.run(), metrics.into_registry()))
+        })
     });
 
     group.finish();

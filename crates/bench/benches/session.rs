@@ -17,8 +17,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use scan_platform::config::{ScanConfig, VariableParams};
-use scan_platform::session::run_session;
 use scan_platform::sweep::run_replicated;
+use scan_platform::Platform;
 use scan_sched::scaling::ScalingPolicy;
 
 /// One fixed-seed fig4-shaped cell, 500 TU long: long enough that the
@@ -38,16 +38,16 @@ fn bench_session(c: &mut Criterion) {
     // 2.0–3.0; lower interval = higher load = more events per session).
     for &(label, interval) in &[("small", 3.0), ("medium", 2.5), ("large", 2.0)] {
         let cfg = session_cfg(interval);
-        let events = run_session(&cfg, 0).events;
+        let events = Platform::new(cfg.clone(), 0).run().events;
         group.throughput(Throughput::Elements(events));
         group.bench_function(format!("full/{label}"), |b| {
-            b.iter(|| black_box(run_session(&cfg, 0).jobs_completed))
+            b.iter(|| black_box(Platform::new(cfg.clone(), 0).run().jobs_completed))
         });
     }
 
     // One sweep cell as the grid runs it: N seeded repetitions fanned out
     // over rayon and folded deterministically. This is the macro shape of
-    // `sweep_grid` — per-cell wall time, not per-session.
+    // `sweep_grid_with` — per-cell wall time, not per-session.
     let cfg = session_cfg(2.5);
     group.throughput(Throughput::Elements(4));
     group.bench_function("sweep_cell/medium_x4", |b| {

@@ -6,7 +6,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use scan_platform::config::{ScanConfig, VariableParams};
-use scan_platform::session::{run_session, run_session_observed};
+use scan_platform::session::run_session_with;
+use scan_platform::Platform;
 use scan_sched::scaling::ScalingPolicy;
 use scan_sim::{NullObserver, RingBuffer, SimTime, TraceEvent, Tracer};
 use std::cell::RefCell;
@@ -72,14 +73,12 @@ fn bench_session(c: &mut Criterion) {
 
     group.bench_function("aggregator_only", |b| {
         let cfg = short_config();
-        b.iter(|| black_box(run_session(&cfg, 0)))
+        b.iter(|| black_box(Platform::new(cfg.clone(), 0).run()))
     });
 
     group.bench_function("aggregator_plus_null_observer", |b| {
         let cfg = short_config();
-        b.iter(|| {
-            black_box(run_session_observed(&cfg, 0, vec![Rc::new(RefCell::new(NullObserver))]))
-        })
+        b.iter(|| black_box(run_session_with(&cfg, 0, NullObserver)))
     });
 
     group.finish();

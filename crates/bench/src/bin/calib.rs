@@ -2,7 +2,7 @@
 //! (development tool, not a paper artefact).
 use scan_bench::EXPERIMENT_SEED;
 use scan_platform::config::{ScanConfig, VariableParams};
-use scan_platform::session::run_session;
+use scan_platform::Platform;
 use scan_sched::scaling::ScalingPolicy;
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
             Ok("never") => ScalingPolicy::NeverScale,
             _ => ScalingPolicy::Predictive,
         };
-        let m = run_session(&cfg, 0);
+        let m = Platform::new(cfg, 0).run();
         println!(
             "int {interval:3.1} to {timeout:3.1} thr {} | profit {:8.1} lat {:6.2} util {:4.2} vms {:6} q {:5.1} cs {:4.1}",
             throttle as u8, m.profit_per_run, m.mean_latency, m.worker_utilisation,

@@ -3,7 +3,7 @@
 
 use scan_bench::EXPERIMENT_SEED;
 use scan_platform::config::{ScanConfig, VariableParams};
-use scan_platform::session::run_session;
+use scan_platform::Platform;
 use scan_sched::scaling::ScalingPolicy;
 
 fn main() {
@@ -15,7 +15,7 @@ fn main() {
     {
         let mut cfg = ScanConfig::new(VariableParams::fig4(scaling, interval), EXPERIMENT_SEED);
         cfg.fixed.sim_time_tu = sim;
-        let m = run_session(&cfg, 0);
+        let m = Platform::new(cfg, 0).run();
         println!("--- {} @ interval {interval} ---", scaling.name());
         println!(
             "  submitted {} completed {} ({:.1}%)",

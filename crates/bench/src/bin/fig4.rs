@@ -32,11 +32,7 @@
 //! Prometheus at `<path>.prom`); `--profile <path>` writes its wall-clock
 //! self-profile as collapsed stacks and prints the self/total table.
 
-use scan_bench::EXPERIMENT_SEED;
-use scan_bench::{
-    dump_instrumented, dump_spans, dump_store, dump_trace, instrument_flags_from_args, pm,
-    run_cell, spans_flags_from_args, store_path_from_args, trace_path_from_args, PAPER_REPETITIONS,
-};
+use scan_bench::{dump_session_artefacts, pm, run_cell, EXPERIMENT_SEED, PAPER_REPETITIONS};
 use scan_platform::config::{ScanConfig, VariableParams};
 use scan_sched::scaling::ScalingPolicy;
 
@@ -76,29 +72,10 @@ fn main() {
     println!("  reward: time-based | public cost: 50 CU/TU | allocation: best-constant");
     println!("  horizon: {sim_time} TU | repetitions: {reps}");
 
-    let (metrics_path, profile_path) = instrument_flags_from_args();
-    let store_path = store_path_from_args();
-    let (spans_path, slowest) = spans_flags_from_args();
-    if trace_path_from_args().is_some()
-        || store_path.is_some()
-        || spans_path.is_some()
-        || metrics_path.is_some()
-        || profile_path.is_some()
-    {
-        let mut cfg =
-            ScanConfig::new(VariableParams::fig4(ScalingPolicy::Predictive, 2.0), EXPERIMENT_SEED);
-        cfg.fixed.sim_time_tu = sim_time;
-        if let Some(path) = trace_path_from_args() {
-            dump_trace(&cfg, &path);
-        }
-        if let Some(path) = store_path {
-            dump_store(&cfg, &path);
-        }
-        if let Some(path) = spans_path {
-            dump_spans(&cfg, &path, slowest);
-        }
-        dump_instrumented(&cfg, metrics_path.as_deref(), profile_path.as_deref());
-    }
+    let mut cfg =
+        ScanConfig::new(VariableParams::fig4(ScalingPolicy::Predictive, 2.0), EXPERIMENT_SEED);
+    cfg.fixed.sim_time_tu = sim_time;
+    dump_session_artefacts(&cfg);
 
     let paper: Vec<f64> = (0..=10).map(|i| 2.0 + 0.1 * i as f64).collect();
     sweep("paper-verbatim interval axis (2.0-3.0 TU)", &paper, sim_time, reps);

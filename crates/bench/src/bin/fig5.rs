@@ -35,11 +35,7 @@
 //! Prometheus at `<path>.prom`); `--profile <path>` writes its wall-clock
 //! self-profile as collapsed stacks and prints the self/total table.
 
-use scan_bench::{
-    dump_instrumented, dump_spans, dump_store, dump_trace, instrument_flags_from_args, pm,
-    spans_flags_from_args, store_path_from_args, trace_path_from_args, EXPERIMENT_SEED,
-    PAPER_REPETITIONS,
-};
+use scan_bench::{dump_session_artefacts, pm, EXPERIMENT_SEED, PAPER_REPETITIONS};
 use scan_platform::config::{RewardKind, ScanConfig, VariableParams};
 use scan_platform::sweep::run_replicated;
 use scan_sched::alloc::AllocationPolicy;
@@ -78,16 +74,7 @@ fn main() {
         })
         .collect();
 
-    let trace_path = trace_path_from_args();
-    let store_path = store_path_from_args();
-    let (spans_path, slowest) = spans_flags_from_args();
-    let (metrics_path, profile_path) = instrument_flags_from_args();
-    let wants_dump = trace_path.is_some()
-        || store_path.is_some()
-        || spans_path.is_some()
-        || metrics_path.is_some()
-        || profile_path.is_some();
-    if let (true, Some(plan)) = (wants_dump, picks.first()) {
+    if let Some(plan) = picks.first() {
         let mut cfg = ScanConfig::new(
             VariableParams {
                 allocation: AllocationPolicy::BestConstant,
@@ -101,16 +88,7 @@ fn main() {
         cfg.fixed.sim_time_tu = sim_time;
         cfg.allow_reshape = true;
         cfg.forced_plan = Some(plan.stages.clone());
-        if let Some(path) = trace_path {
-            dump_trace(&cfg, &path);
-        }
-        if let Some(path) = store_path {
-            dump_store(&cfg, &path);
-        }
-        if let Some(path) = spans_path {
-            dump_spans(&cfg, &path, slowest);
-        }
-        dump_instrumented(&cfg, metrics_path.as_deref(), profile_path.as_deref());
+        dump_session_artefacts(&cfg);
     }
 
     println!(

@@ -26,9 +26,10 @@
 //! `RAYON_NUM_THREADS` — CI compares those files too.
 
 use scan_bench::{
-    dump_fleet_spans, dump_fleet_store, fleet_cfg, spans_flags_from_args, store_path_from_args,
+    dump_fleet_spans, dump_fleet_store, fleet_cfg, path_flag_from_args, spans_flags_from_args,
 };
-use scan_platform::fleet::run_fleet_replicated;
+use scan_platform::fleet::run_fleet_replicated_with;
+use scan_sim::NullObserverFactory;
 use std::time::Instant;
 
 fn main() {
@@ -45,7 +46,7 @@ fn main() {
     };
     let reps = 2u64;
     println!("fleet: run-to-completion multi-tenant fleets ({reps} replications each)");
-    if let (Some(path), Some(&tenants)) = (store_path_from_args(), axis.first()) {
+    if let (Some(path), Some(&tenants)) = (path_flag_from_args("store"), axis.first()) {
         dump_fleet_store(&fleet_cfg(tenants), reps, &path);
     }
     let (spans_path, slowest) = spans_flags_from_args();
@@ -55,7 +56,7 @@ fn main() {
     for &tenants in &axis {
         let cfg = fleet_cfg(tenants);
         let t0 = Instant::now();
-        let runs = run_fleet_replicated(&cfg, reps);
+        let (runs, ()) = run_fleet_replicated_with(&cfg, reps, &NullObserverFactory);
         let wall = t0.elapsed().as_secs_f64();
         let jobs: u64 = runs.iter().map(|m| m.jobs_completed).sum();
         for (rep, m) in runs.iter().enumerate() {

@@ -37,11 +37,7 @@
 //! Prometheus at `<path>.prom`); `--profile <path>` writes its wall-clock
 //! self-profile as collapsed stacks and prints the self/total table.
 
-use scan_bench::{
-    dump_instrumented, dump_spans, dump_store, dump_trace, instrument_flags_from_args,
-    path_flag_from_args, spans_flags_from_args, store_path_from_args, trace_path_from_args,
-    EXPERIMENT_SEED,
-};
+use scan_bench::{dump_session_artefacts, path_flag_from_args, EXPERIMENT_SEED};
 use scan_platform::config::{ParameterGrid, ScanConfig};
 use scan_platform::observers::{DecisionStats, DecisionStatsFactory};
 use scan_platform::sweep::{sweep_grid_with, ObservedCell};
@@ -74,18 +70,7 @@ fn main() {
     let mut base = ScanConfig::new(cells[0], EXPERIMENT_SEED);
     base.fixed.sim_time_tu = sim_time;
 
-    if let Some(path) = trace_path_from_args() {
-        dump_trace(&base, &path);
-    }
-    if let Some(path) = store_path_from_args() {
-        dump_store(&base, &path);
-    }
-    let (spans_path, slowest) = spans_flags_from_args();
-    if let Some(path) = spans_path {
-        dump_spans(&base, &path, slowest);
-    }
-    let (metrics_path, profile_path) = instrument_flags_from_args();
-    dump_instrumented(&base, metrics_path.as_deref(), profile_path.as_deref());
+    dump_session_artefacts(&base);
 
     let results = sweep_grid_with(&base, &cells, reps, &DecisionStatsFactory);
 

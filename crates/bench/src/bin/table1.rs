@@ -8,7 +8,7 @@
 
 use scan_bench::EXPERIMENT_SEED;
 use scan_platform::config::{ParameterGrid, ScanConfig, VariableParams};
-use scan_platform::session::run_session;
+use scan_platform::Platform;
 
 fn main() {
     let grid = ParameterGrid::paper();
@@ -53,7 +53,7 @@ fn main() {
             };
             let mut cfg = ScanConfig::new(v, EXPERIMENT_SEED);
             cfg.fixed.sim_time_tu = 500.0;
-            let m = run_session(&cfg, 0);
+            let m = Platform::new(cfg, 0).run();
             println!(
                 "{:>20} | {:>13} | {:>9} | {:>10.1} | {:>8.2}",
                 allocation.name(),

@@ -22,17 +22,20 @@
 
 #![forbid(unsafe_code)]
 
+use scan_metrics::Metrics;
 use scan_platform::config::{ScanConfig, VariableParams};
-use scan_platform::fleet::FleetConfig;
-use scan_platform::fleet::{run_fleet_replicated_with, run_fleet_with};
-use scan_platform::instrument::{run_session_instrumented, DEFAULT_WINDOW_TU};
-use scan_platform::metrics::ReplicatedMetrics;
-use scan_platform::session::{run_session_traced, run_session_with};
+use scan_platform::fleet::{run_fleet_replicated_with, run_fleet_with, FleetConfig};
+use scan_platform::instrument::DEFAULT_WINDOW_TU;
+use scan_platform::metrics::{ReplicatedMetrics, SessionMetrics};
+use scan_platform::session::run_session_with;
 use scan_platform::sweep::run_replicated;
+use scan_platform::Platform;
 use scan_sched::scaling::ScalingPolicy;
-use scan_sim::Merge;
-use scan_spans::{Recorder, RecorderFactory, Recording, SpanSet};
+use scan_sim::{merge_in_order, prof, JsonlWriter};
+use scan_spans::{Recorder, RecorderFactory, SpanSet};
 use scan_tracestore::{TraceStore, TraceStoreFactory};
+use std::fs::File;
+use std::io::{self, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -90,16 +93,6 @@ pub fn path_flag_from_args(flag: &str) -> Option<PathBuf> {
     None
 }
 
-/// Parses a `--trace <path>` (or `--trace=<path>`) flag from argv.
-pub fn trace_path_from_args() -> Option<PathBuf> {
-    path_flag_from_args("trace")
-}
-
-/// Parses a `--store <path>` (or `--store=<path>`) flag from argv.
-pub fn store_path_from_args() -> Option<PathBuf> {
-    path_flag_from_args("store")
-}
-
 /// Writes a [`TraceStore`] as an SCTS export to `path`, reporting rows,
 /// bytes, and the store digest (the CI fingerprint).
 fn write_store(store: &TraceStore, label: &str, path: &Path) {
@@ -116,11 +109,35 @@ fn write_store(store: &TraceStore, label: &str, path: &Path) {
     }
 }
 
+/// Writes the artefacts of one representative session (repetition 0 of
+/// `cfg`) that argv asks for, in this order: `--trace <path>` (typed
+/// JSONL), `--store <path>` (SCTS export), `--spans <path>` with
+/// `--slowest N` (Perfetto timeline + critical-path report), and
+/// `--metrics <path>` / `--profile <path>` (registry exports and
+/// wall-clock profile). Each artefact comes from its own run, separate
+/// from the measured repetitions, so tables are unaffected. Used by the
+/// `fig4`, `fig5` and `sweep` bins; without any of the flags it does
+/// nothing.
+pub fn dump_session_artefacts(cfg: &ScanConfig) {
+    if let Some(path) = path_flag_from_args("trace") {
+        dump_trace(cfg, &path);
+    }
+    if let Some(path) = path_flag_from_args("store") {
+        dump_store(cfg, &path);
+    }
+    let (spans_path, slowest) = spans_flags_from_args();
+    if let Some(path) = spans_path {
+        dump_spans(cfg, &path, slowest);
+    }
+    let metrics_path = path_flag_from_args("metrics");
+    dump_instrumented(cfg, metrics_path.as_deref(), path_flag_from_args("profile").as_deref());
+}
+
 /// Ingests one representative session (repetition 0 of `cfg`) into a
 /// columnar [`TraceStore`] and writes its SCTS export to `path`. The
 /// store-building run is separate from the measured repetitions, so
 /// tables are unaffected — the `--store` analogue of [`dump_trace`].
-pub fn dump_store(cfg: &ScanConfig, path: &Path) {
+fn dump_store(cfg: &ScanConfig, path: &Path) {
     let (_, store) = run_session_with(cfg, 0, TraceStore::new());
     write_store(&store, "1 session", path);
 }
@@ -140,8 +157,18 @@ pub fn dump_fleet_store(cfg: &FleetConfig, repetitions: u64, path: &Path) {
 /// 0 of `cfg`) to `path`, reporting what was written. Used by the bench
 /// bins' `--trace` flag; the traced run is separate from the measured
 /// repetitions, so tables are unaffected.
-pub fn dump_trace(cfg: &ScanConfig, path: &std::path::Path) {
-    match run_session_traced(cfg, 0, path) {
+fn dump_trace(cfg: &ScanConfig, path: &Path) {
+    let traced = || -> io::Result<SessionMetrics> {
+        let writer = JsonlWriter::new(BufWriter::new(File::create(path)?));
+        let (metrics, writer) = run_session_with(cfg, 0, writer);
+        // A write error latches inside the observer; surface it here.
+        if writer.errored() {
+            return Err(io::Error::other("trace write failed; output truncated"));
+        }
+        writer.into_inner().flush()?;
+        Ok(metrics)
+    };
+    match traced() {
         Ok(m) => println!(
             "trace: wrote {} ({} events dispatched, {} jobs completed)",
             path.display(),
@@ -150,12 +177,6 @@ pub fn dump_trace(cfg: &ScanConfig, path: &std::path::Path) {
         ),
         Err(e) => eprintln!("trace: failed to write {}: {e}", path.display()),
     }
-}
-
-/// The `--metrics <path>` / `--profile <path>` pair shared by the bench
-/// bins, parsed from argv.
-pub fn instrument_flags_from_args() -> (Option<PathBuf>, Option<PathBuf>) {
-    (path_flag_from_args("metrics"), path_flag_from_args("profile"))
 }
 
 /// Parses a numeric `--<flag> N` (or `--<flag>=N`) option from argv.
@@ -234,7 +255,7 @@ fn write_spans(
 /// store and the span observer on one stream — and writes the span
 /// artefacts. The `--spans` analogue of [`dump_store`]; the recorded run
 /// is separate from the measured repetitions, so tables are unaffected.
-pub fn dump_spans(cfg: &ScanConfig, path: &Path, slowest: usize) {
+fn dump_spans(cfg: &ScanConfig, path: &Path, slowest: usize) {
     let cfg = with_slo_default(cfg);
     let (_, rec) = run_session_with(&cfg, 0, Recorder::default());
     let spans = rec.spans.into_spans();
@@ -253,10 +274,7 @@ pub fn dump_fleet_spans(cfg: &FleetConfig, repetitions: u64, path: &Path, slowes
     let factory = RecorderFactory::fleet(u64::from(cfg.tenants));
     let (_, merged) = run_fleet_replicated_with(&cfg, repetitions, &factory);
     let (_, rep0) = run_fleet_with(&cfg, 0, &factory);
-    let mut first = Recording::default();
-    for tenant in rep0 {
-        first.merge(tenant);
-    }
+    let first = merge_in_order(rep0).expect("a fleet has at least one tenant");
     write_spans(
         (&first.store, &first.spans),
         &merged.spans,
@@ -276,30 +294,34 @@ pub fn dump_fleet_spans(cfg: &FleetConfig, repetitions: u64, path: &Path, slowes
 /// * `profile_path` — flamegraph-compatible collapsed stacks of the
 ///   run's wall-clock self-profile; the sorted self/total table goes to
 ///   stdout.
-pub fn dump_instrumented(
-    cfg: &ScanConfig,
-    metrics_path: Option<&Path>,
-    profile_path: Option<&Path>,
-) {
+fn dump_instrumented(cfg: &ScanConfig, metrics_path: Option<&Path>, profile_path: Option<&Path>) {
     if metrics_path.is_none() && profile_path.is_none() {
         return;
     }
-    let profile = profile_path.is_some();
-    if profile {
-        scan_sim::prof::enable();
+    let metrics = Metrics::enabled(DEFAULT_WINDOW_TU);
+    let mut platform = Platform::new(cfg.clone(), 0);
+    platform.set_metrics(&metrics);
+    if profile_path.is_some() {
+        // Profile the run, not the construction.
+        prof::enable();
+        prof::reset_thread();
     }
-    let (_, registry, summary) = run_session_instrumented(cfg, 0, DEFAULT_WINDOW_TU, profile);
+    platform.run();
+    prof::mark_session();
+    let summary = prof::take_summary();
+    // `run` consumed the platform and every registry handle clone.
+    let registry = metrics.into_registry().expect("registry uniquely owned after the run");
     if let Some(path) = metrics_path {
-        let write = || -> std::io::Result<PathBuf> {
-            let mut jsonl = std::io::BufWriter::new(std::fs::File::create(path)?);
+        let write = || -> io::Result<PathBuf> {
+            let mut jsonl = BufWriter::new(File::create(path)?);
             scan_metrics::write_jsonl(&registry, &mut jsonl)?;
-            std::io::Write::flush(&mut jsonl)?;
+            jsonl.flush()?;
             let mut prom_path = path.as_os_str().to_os_string();
             prom_path.push(".prom");
             let prom_path = PathBuf::from(prom_path);
-            let mut prom = std::io::BufWriter::new(std::fs::File::create(&prom_path)?);
+            let mut prom = BufWriter::new(File::create(&prom_path)?);
             scan_metrics::write_prometheus(&registry, &mut prom)?;
-            std::io::Write::flush(&mut prom)?;
+            prom.flush()?;
             Ok(prom_path)
         };
         match write() {
@@ -314,11 +336,11 @@ pub fn dump_instrumented(
             Err(e) => eprintln!("metrics: failed to write {}: {e}", path.display()),
         }
     }
-    if let (Some(path), Some(summary)) = (profile_path, summary) {
-        let write = || -> std::io::Result<()> {
-            let mut collapsed = std::io::BufWriter::new(std::fs::File::create(path)?);
+    if let Some(path) = profile_path {
+        let write = || -> io::Result<()> {
+            let mut collapsed = BufWriter::new(File::create(path)?);
             summary.write_collapsed(&mut collapsed)?;
-            std::io::Write::flush(&mut collapsed)?;
+            collapsed.flush()?;
             Ok(())
         };
         match write() {

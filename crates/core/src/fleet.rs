@@ -11,22 +11,26 @@
 //! contending for shared private cores under the fair-share admission
 //! gate and surging the public on-demand price as fleet-wide hire grows.
 //!
-//! Whole-fleet replications shard across cores exactly like
+//! [`run_fleet_with`] runs one fleet; [`run_fleet_replicated_with`]
+//! shards whole-fleet replications across cores exactly like
 //! [`sweep`](crate::sweep) repetitions: each repetition is a pure
 //! function of `(seed, repetition)`, observers ride the
 //! [`ObserverFactory`] bridge, and summaries merge in `(repetition,
 //! tenant)` order — so fleet results are bit-identical at any
-//! `RAYON_NUM_THREADS`.
+//! `RAYON_NUM_THREADS`. Pass
+//! [`NullObserverFactory`](scan_sim::NullObserverFactory) to run without
+//! observers.
 
 use crate::config::ScanConfig;
 use crate::metrics::SessionMetrics;
 use crate::platform::{Event, EventSink, Platform, TenantSetup};
+use crate::session::reclaim;
 use rayon::prelude::*;
 use scan_cloud::shared::{SharedCapacity, SurgePricing};
 use scan_metrics::Registry;
 use scan_sim::{
-    Calendar, Engine, EventHandler, Merge, NullObserverFactory, ObserverFactory, SimTime,
-    StepOutcome, TenantId,
+    merge_in_order, Calendar, Engine, EventHandler, Merge, ObserverFactory, SimTime, StepOutcome,
+    TenantId,
 };
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -218,12 +222,8 @@ impl FleetMetrics {
     }
 }
 
-/// Runs one fleet repetition to completion.
-pub fn run_fleet(cfg: &FleetConfig, repetition: u64) -> FleetMetrics {
-    run_fleet_with(cfg, repetition, &NullObserverFactory).0
-}
-
-/// [`run_fleet`], with one factory-built observer per tenant.
+/// Runs one fleet repetition to completion, with one factory-built
+/// observer per tenant.
 ///
 /// The factory's session ordinal is `repetition × tenants + tenant`, the
 /// same flat (run-major, tenant-minor) numbering the replicated driver
@@ -279,14 +279,7 @@ pub fn run_fleet_with<F: ObserverFactory>(
     }
     // The platforms (and their tracer clones) are gone: each observer
     // handle is unique again and its summary can cross threads.
-    let summaries = sinks
-        .into_iter()
-        .map(|s| {
-            let obs =
-                Rc::try_unwrap(s).ok().expect("observer uniquely owned after the run").into_inner();
-            factory.finish(obs)
-        })
-        .collect();
+    let summaries = sinks.into_iter().map(|s| factory.finish(reclaim(s))).collect();
     let metrics = FleetMetrics::from_sessions(
         sessions,
         peak,
@@ -296,13 +289,8 @@ pub fn run_fleet_with<F: ObserverFactory>(
     (metrics, summaries)
 }
 
-/// Runs `repetitions` whole-fleet replications in parallel.
-pub fn run_fleet_replicated(cfg: &FleetConfig, repetitions: u64) -> Vec<FleetMetrics> {
-    run_fleet_replicated_with(cfg, repetitions, &NullObserverFactory).0
-}
-
-/// [`run_fleet_replicated`], with one factory-built observer per tenant
-/// session across every replication.
+/// Runs `repetitions` whole-fleet replications in parallel, with one
+/// factory-built observer per tenant session across every replication.
 ///
 /// Each repetition is an independent fleet (rayon shards them across
 /// cores); summaries merge strictly in `(repetition, tenant)` order, so
@@ -319,19 +307,10 @@ where
     assert!(repetitions >= 1);
     let runs: Vec<(FleetMetrics, Vec<F::Summary>)> =
         (0..repetitions).into_par_iter().map(|rep| run_fleet_with(cfg, rep, factory)).collect();
-    let mut metrics = Vec::with_capacity(runs.len());
-    let mut merged: Option<F::Summary> = None;
+    let (metrics, summaries): (Vec<_>, Vec<_>) = runs.into_iter().unzip();
     // Deterministic fold: `collect` returned repetition order; within a
     // repetition, `run_fleet_with` returned tenant order.
-    for (m, summaries) in runs {
-        metrics.push(m);
-        for s in summaries {
-            match merged.as_mut() {
-                None => merged = Some(s),
-                Some(acc) => acc.merge(s),
-            }
-        }
-    }
+    let merged = merge_in_order(summaries.into_iter().flatten());
     (metrics, merged.expect("repetitions and tenants are both nonzero"))
 }
 
@@ -340,7 +319,7 @@ mod tests {
     use super::*;
     use crate::config::VariableParams;
     use scan_sched::scaling::ScalingPolicy;
-    use scan_sim::JsonlWriter;
+    use scan_sim::{JsonlWriter, NullObserverFactory};
 
     fn fleet(tenants: u16, shared_cores: u32, jobs: u64) -> FleetConfig {
         let mut base = ScanConfig::new(VariableParams::fig4(ScalingPolicy::Predictive, 2.5), 23);
@@ -352,10 +331,14 @@ mod tests {
         cfg
     }
 
+    fn fleet_metrics(cfg: &FleetConfig, repetition: u64) -> FleetMetrics {
+        run_fleet_with(cfg, repetition, &NullObserverFactory).0
+    }
+
     #[test]
     fn fleet_runs_every_tenant_to_completion() {
         let cfg = fleet(3, 48, 8);
-        let m = run_fleet(&cfg, 0);
+        let m = fleet_metrics(&cfg, 0);
         assert_eq!(m.tenants.len(), 3);
         for (t, s) in m.tenants.iter().enumerate() {
             assert_eq!(s.jobs_submitted, 8, "tenant {t} admits its full arrival cap");
@@ -369,7 +352,7 @@ mod tests {
     #[test]
     fn fleet_is_deterministic() {
         let cfg = fleet(3, 32, 6);
-        assert_eq!(run_fleet(&cfg, 1), run_fleet(&cfg, 1));
+        assert_eq!(fleet_metrics(&cfg, 1), fleet_metrics(&cfg, 1));
     }
 
     #[test]
@@ -381,7 +364,7 @@ mod tests {
         let mut cfg = FleetConfig::new(base, 4);
         cfg.shared_private_cores = 8;
         cfg.jobs_per_tenant = 6;
-        let m = run_fleet(&cfg, 0);
+        let m = fleet_metrics(&cfg, 0);
         assert!(m.jobs_deferred > 0, "a tight shared pool must trip the gate");
         assert_eq!(m.jobs_submitted, 24, "deferred arrivals are admitted later, not dropped");
         assert_eq!(m.jobs_completed, m.jobs_submitted);
@@ -391,7 +374,7 @@ mod tests {
     #[test]
     fn registry_projects_per_tenant_counters() {
         let cfg = fleet(2, 24, 4);
-        let m = run_fleet(&cfg, 0);
+        let m = fleet_metrics(&cfg, 0);
         let r = m.registry();
         assert_eq!(r.counters().len(), 6, "three families × two tenants");
         let completed: u64 = r
@@ -440,23 +423,13 @@ mod tests {
 
         let (par_metrics, par_trace) = run_fleet_replicated_with(&cfg, reps, &TraceFactory);
 
-        let mut seq_metrics = Vec::new();
-        let mut seq_trace: Option<TraceBytes> = None;
-        for rep in 0..reps {
-            let (m, summaries) = run_fleet_with(&cfg, rep, &TraceFactory);
-            seq_metrics.push(m);
-            for s in summaries {
-                match seq_trace.as_mut() {
-                    None => seq_trace = Some(s),
-                    Some(acc) => acc.merge(s),
-                }
-            }
-        }
+        let (seq_metrics, seq_traces): (Vec<_>, Vec<_>) =
+            (0..reps).map(|rep| run_fleet_with(&cfg, rep, &TraceFactory)).unzip();
+        let seq_trace = merge_in_order(seq_traces.into_iter().flatten());
 
         assert_eq!(par_metrics, seq_metrics, "fleet metrics must not depend on threads");
-        let seq_trace = seq_trace.unwrap();
         assert!(!par_trace.0.is_empty(), "the traced fleet must emit events");
-        assert_eq!(par_trace.0, seq_trace.0, "merged traces must be byte-identical");
+        assert_eq!(par_trace.0, seq_trace.unwrap().0, "merged traces must be byte-identical");
     }
 
     mod fairness {
@@ -486,7 +459,7 @@ mod tests {
                         let mut cfg = FleetConfig::new(base, tenants);
                         cfg.shared_private_cores = shared_cores;
                         cfg.jobs_per_tenant = jobs;
-                        run_fleet(&cfg, 0)
+                        fleet_metrics(&cfg, 0)
                     })
                     .clone()
             })

@@ -1,151 +1,12 @@
-//! Instrumented sessions: quantitative metrics and wall-clock profiling.
+//! Defaults for instrumented sessions.
 //!
-//! [`run_session_instrumented`] is [`run_session`](crate::run_session)
-//! plus a [`scan_metrics`] registry wired through every subsystem
-//! (dispatch histograms, scaling counters and margins, provider lifecycle
-//! counters, windowed utilisation/spend series, the engine's batch-size
-//! histogram) and an optional [`prof`] self-profile of
-//! the run's wall-clock time.
-//!
-//! The replicated variant fans repetitions across rayon and folds the
-//! per-session registries in repetition order, the same deterministic
-//! bridge the trace observers use ([`sweep`](crate::sweep)): every
-//! session registers the identical metric set in the identical order, so
-//! the merged registry — and its exported bytes — are independent of the
-//! thread count.
-
-use crate::config::ScanConfig;
-use crate::metrics::SessionMetrics;
-use crate::platform::Platform;
-use rayon::prelude::*;
-use scan_metrics::{Metrics, Registry};
-use scan_sim::prof::{self, ProfSummary};
-use scan_sim::Merge;
+//! A session is instrumented by attaching a [`scan_metrics`] registry
+//! before it runs: `platform.set_metrics(&Metrics::enabled(window_tu))`.
+//! Every subsystem then records into it (dispatch histograms, scaling
+//! counters and margins, provider lifecycle counters, windowed
+//! utilisation/spend series, the engine's batch-size histogram); see
+//! `docs/METRICS.md`.
 
 /// Default sim-time window for the time series (TU). Sessions run for
 /// hundreds of TU, so 5 TU gives a readable number of points per series.
 pub const DEFAULT_WINDOW_TU: f64 = 5.0;
-
-/// Runs one repetition with a metrics registry attached, returning the
-/// session metrics, the filled registry, and — when `profile` is true —
-/// the thread's wall-clock self-profile (empty unless
-/// [`prof::enable`] was called first; the flag is process-wide).
-pub fn run_session_instrumented(
-    cfg: &ScanConfig,
-    repetition: u64,
-    window_tu: f64,
-    profile: bool,
-) -> (SessionMetrics, Registry, Option<ProfSummary>) {
-    let metrics = Metrics::enabled(window_tu);
-    let mut platform = Platform::new(cfg.clone(), repetition);
-    platform.set_metrics(&metrics);
-    if profile {
-        prof::reset_thread();
-    }
-    let session = platform.run();
-    let summary = profile.then(|| {
-        prof::mark_session();
-        prof::take_summary()
-    });
-    // The platform (and with it every registry handle clone) is consumed
-    // by `run`, so the registry is uniquely ours again.
-    let registry = metrics.into_registry().expect("registry uniquely owned after the run");
-    (session, registry, summary)
-}
-
-/// Runs `repetitions` instrumented repetitions in parallel and merges
-/// the registries (and profiles, when enabled) in repetition order.
-///
-/// The merged registry is bit-identical for any `RAYON_NUM_THREADS`:
-/// sessions are seeded per repetition, registries share one shape, and
-/// the fold order is the repetition order regardless of which thread ran
-/// what.
-pub fn run_replicated_instrumented(
-    cfg: &ScanConfig,
-    repetitions: u64,
-    window_tu: f64,
-    profile: bool,
-) -> (Vec<SessionMetrics>, Registry, Option<ProfSummary>) {
-    assert!(repetitions >= 1);
-    let runs: Vec<(SessionMetrics, Registry, Option<ProfSummary>)> = (0..repetitions)
-        .into_par_iter()
-        .map(|rep| run_session_instrumented(cfg, rep, window_tu, profile))
-        .collect();
-    let mut sessions = Vec::with_capacity(runs.len());
-    let mut registry: Option<Registry> = None;
-    let mut summary: Option<ProfSummary> = None;
-    for (m, reg, prof_summary) in runs {
-        sessions.push(m);
-        match registry.as_mut() {
-            None => registry = Some(reg),
-            Some(acc) => acc.merge(&reg),
-        }
-        if let Some(p) = prof_summary {
-            match summary.as_mut() {
-                None => summary = Some(p),
-                Some(acc) => acc.merge(p),
-            }
-        }
-    }
-    (sessions, registry.expect("repetitions >= 1"), summary)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::VariableParams;
-    use crate::session::run_session;
-    use scan_metrics::write_jsonl;
-    use scan_sched::scaling::ScalingPolicy;
-
-    fn cfg() -> ScanConfig {
-        let mut cfg = ScanConfig::new(VariableParams::fig4(ScalingPolicy::Predictive, 2.8), 5);
-        cfg.fixed.sim_time_tu = 150.0;
-        cfg
-    }
-
-    #[test]
-    fn metrics_do_not_perturb_the_session() {
-        let plain = run_session(&cfg(), 3);
-        let (m, reg, summary) = run_session_instrumented(&cfg(), 3, DEFAULT_WINDOW_TU, false);
-        assert_eq!(m, plain, "metrics must not perturb the session");
-        assert!(summary.is_none());
-        // The run actually landed in the registry.
-        let dispatched: u64 = reg
-            .counters()
-            .iter()
-            .map(|(meta, v)| u64::from(meta.family == "vm_hired_total") * v)
-            .sum();
-        assert!(dispatched > 0, "no VM hires counted");
-        assert!(reg.histograms().iter().any(|(_, h)| h.count() > 0));
-        assert!(reg.series_entries().iter().all(|(_, s)| !s.values().is_empty()));
-    }
-
-    /// The parallel fan-out must not change the merged registry: the
-    /// sequential reference below is exactly what `RAYON_NUM_THREADS=1`
-    /// executes (the compat pool degenerates to an in-order loop), so
-    /// equal exported bytes here pin thread-count invariance.
-    #[test]
-    fn merged_export_is_identical_to_sequential_fold() {
-        let cfg = cfg();
-        let (par_sessions, par_reg, _) =
-            run_replicated_instrumented(&cfg, 4, DEFAULT_WINDOW_TU, false);
-        let mut seq_sessions = Vec::new();
-        let mut seq_reg: Option<Registry> = None;
-        for rep in 0..4 {
-            let (m, reg, _) = run_session_instrumented(&cfg, rep, DEFAULT_WINDOW_TU, false);
-            seq_sessions.push(m);
-            match seq_reg.as_mut() {
-                None => seq_reg = Some(reg),
-                Some(acc) => acc.merge(&reg),
-            }
-        }
-        assert_eq!(par_sessions, seq_sessions);
-        let mut a = Vec::new();
-        write_jsonl(&par_reg, &mut a).unwrap();
-        let mut b = Vec::new();
-        write_jsonl(&seq_reg.unwrap(), &mut b).unwrap();
-        assert!(!a.is_empty());
-        assert_eq!(a, b, "merged registry export must not depend on thread count");
-    }
-}

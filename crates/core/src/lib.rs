@@ -17,18 +17,33 @@
 //! * [`observers`] — domain-level trace observers: the [`DecisionStats`]
 //!   counting observer folding scaling decisions, queue depths and tier
 //!   settlements into per-cell statistics.
-//! * [`session`] — one seeded simulation run; [`sweep`] — rayon-parallel
-//!   replication and parameter grids, with per-session observers built
-//!   through the `Send`-capable factory bridge.
+//! * [`session`] — one seeded simulation run with an observer attached;
+//!   [`sweep`] — rayon-parallel replication and parameter grids, with
+//!   per-session observers built through the `Send`-capable factory
+//!   bridge.
 //! * [`fleet`] — multi-tenant fleets: M platforms on one shared provider
 //!   pool (finite private capacity, contention-surged public pricing,
 //!   fair-share admission), multiplexed deterministically over a single
 //!   tenant-tagged calendar, with whole-fleet replications sharded
 //!   across cores.
-//! * [`instrument`] — sessions with a [`scan_metrics`] registry attached
-//!   (histograms, counters, windowed series across every subsystem) and
-//!   an optional wall-clock self-profile, merged deterministically across
-//!   parallel repetitions.
+//! * [`instrument`] — the default series window for sessions with a
+//!   [`scan_metrics`] registry attached.
+//!
+//! # Running
+//!
+//! One driver per run shape:
+//!
+//! | shape                | driver                                          |
+//! |----------------------|-------------------------------------------------|
+//! | one session          | [`Platform::new`] → [`Platform::add_observer`] / [`Platform::set_metrics`] → [`Platform::run`] |
+//! | one observed session | [`run_session_with`]                            |
+//! | mean ± σ of a config | [`run_replicated`] (one cell of [`sweep_grid_with`]) |
+//! | many sessions        | [`sweep_grid_with`]                             |
+//! | one fleet            | [`run_fleet_with`]                              |
+//! | replicated fleets    | [`run_fleet_replicated_with`]                   |
+//!
+//! The observed drivers take an [`ObserverFactory`](scan_sim::ObserverFactory);
+//! pass [`NullObserverFactory`](scan_sim::NullObserverFactory) for none.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,14 +60,9 @@ pub mod sweep;
 
 pub use broker::DataBroker;
 pub use config::{FixedParams, ParameterGrid, ScanConfig, VariableParams};
-pub use fleet::{
-    run_fleet, run_fleet_replicated, run_fleet_replicated_with, run_fleet_with, FleetConfig,
-    FleetMetrics,
-};
+pub use fleet::{run_fleet_replicated_with, run_fleet_with, FleetConfig, FleetMetrics};
 pub use metrics::{ReplicatedMetrics, SessionMetrics};
 pub use observers::{DecisionStats, DecisionStatsFactory};
 pub use platform::Platform;
-pub use session::run_session;
-pub use sweep::{
-    run_replicated, run_replicated_with, sweep_grid, sweep_grid_with, CellResult, ObservedCell,
-};
+pub use session::run_session_with;
+pub use sweep::{run_replicated, sweep_grid_with, ObservedCell};

@@ -9,70 +9,28 @@
 //!
 //! Session observers are `Rc<RefCell<_>>` sinks and cannot cross the
 //! rayon task boundary, so the sweep uses the factory/summary bridge from
-//! `scan_sim::trace`: [`run_replicated_with`] and [`sweep_grid_with`]
-//! take an [`ObserverFactory`] (`Sync`, shared by reference), each worker
-//! task builds its own observer via [`ObserverFactory::build`], and only
-//! the `Send` summary returns. Summaries are merged with [`Merge::merge`]
-//! strictly in repetition order — *not* in task-completion order — so the
-//! statistics a sweep reports are bit-identical whether rayon ran on one
-//! thread or N (`RAYON_NUM_THREADS=1` reproduces the sequential fold
-//! exactly; the determinism tests below assert this).
+//! `scan_sim::trace`: [`sweep_grid_with`] takes an [`ObserverFactory`]
+//! (`Sync`, shared by reference), each worker task builds its own
+//! observer via [`ObserverFactory::build`], and only the `Send` summary
+//! returns. Summaries are merged with [`merge_in_order`] strictly in
+//! repetition order — *not* in task-completion order — so the statistics
+//! a sweep reports are bit-identical whether rayon ran on one thread or
+//! N (`RAYON_NUM_THREADS=1` reproduces the sequential fold exactly; the
+//! determinism tests below assert this). [`run_replicated`] is one
+//! unobserved cell of the same sweep.
 
 use crate::config::{ScanConfig, VariableParams};
-use crate::metrics::{ReplicatedMetrics, SessionMetrics};
+use crate::metrics::ReplicatedMetrics;
 use crate::session::run_session_with;
 use rayon::prelude::*;
-use scan_sim::{Merge, NullObserverFactory, ObserverFactory};
-use serde::{Deserialize, Serialize};
+use scan_sim::{merge_in_order, Merge, NullObserverFactory, ObserverFactory};
 
 /// Runs `repetitions` seeded repetitions of one configuration in parallel
-/// and aggregates mean ± σ.
+/// and aggregates mean ± σ: a one-cell [`sweep_grid_with`], so the
+/// session ordinal is the repetition.
 pub fn run_replicated(cfg: &ScanConfig, repetitions: u64) -> ReplicatedMetrics {
-    run_replicated_with(cfg, repetitions, &NullObserverFactory).0
-}
-
-/// [`run_replicated`], with one factory-built observer per session.
-///
-/// Returns the replicated metrics plus the per-session summaries merged
-/// in repetition order. The factory's `session` ordinal is the
-/// repetition number.
-pub fn run_replicated_with<F: ObserverFactory>(
-    cfg: &ScanConfig,
-    repetitions: u64,
-    factory: &F,
-) -> (ReplicatedMetrics, F::Summary)
-where
-    F::Summary: Merge,
-{
-    assert!(repetitions >= 1);
-    let observed: Vec<(SessionMetrics, F::Summary)> = (0..repetitions)
-        .into_par_iter()
-        .map(|rep| {
-            let (metrics, obs) = run_session_with(cfg, rep, factory.build(rep));
-            (metrics, factory.finish(obs))
-        })
-        .collect();
-    let mut sessions = Vec::with_capacity(observed.len());
-    let mut merged: Option<F::Summary> = None;
-    // Deterministic fold: `collect` returned repetition order, merge in
-    // that order regardless of which thread ran what.
-    for (metrics, summary) in observed {
-        sessions.push(metrics);
-        match merged.as_mut() {
-            None => merged = Some(summary),
-            Some(m) => m.merge(summary),
-        }
-    }
-    (ReplicatedMetrics::from_sessions(sessions), merged.expect("repetitions >= 1"))
-}
-
-/// One sweep cell's outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CellResult {
-    /// The cell's variable parameters.
-    pub params: VariableParams,
-    /// Replicated metrics for the cell.
-    pub metrics: ReplicatedMetrics,
+    let mut cells = sweep_grid_with(cfg, &[cfg.variable], repetitions, &NullObserverFactory);
+    cells.pop().expect("one cell in, one cell out").metrics
 }
 
 /// One sweep cell's outcome with its merged observer summary.
@@ -87,24 +45,14 @@ pub struct ObservedCell<S> {
 }
 
 /// Sweeps a list of cells, each replicated, with the whole
-/// `(cell × repetition)` space scheduled onto one rayon pool.
-pub fn sweep_grid(
-    base: &ScanConfig,
-    cells: &[VariableParams],
-    repetitions: u64,
-) -> Vec<CellResult> {
-    sweep_grid_with(base, cells, repetitions, &NullObserverFactory)
-        .into_iter()
-        .map(|cell| CellResult { params: cell.params, metrics: cell.metrics })
-        .collect()
-}
-
-/// [`sweep_grid`], with one factory-built observer per session.
+/// `(cell × repetition)` space scheduled onto one rayon pool and one
+/// factory-built observer per session.
 ///
 /// Every `(cell, repetition)` session gets its own observer (built inside
 /// the rayon task with the flat session ordinal, cell-major); summaries
 /// are merged per cell in repetition order, so the per-cell statistics
-/// are independent of rayon's thread count and scheduling.
+/// are independent of rayon's thread count and scheduling. Pass
+/// [`NullObserverFactory`] to sweep without observers.
 pub fn sweep_grid_with<F: ObserverFactory>(
     base: &ScanConfig,
     cells: &[VariableParams],
@@ -118,41 +66,32 @@ where
     // Flatten so rayon load-balances across the full space (cells differ
     // wildly in event counts: heavy-load never-scale cells are cheap,
     // always-scale cells are not).
-    let flat: Vec<(u64, usize, u64)> = (0..cells.len())
-        .flat_map(|c| (0..repetitions).map(move |r| (c, r)))
-        .enumerate()
-        .map(|(ordinal, (c, r))| (ordinal as u64, c, r))
-        .collect();
-    let observed: Vec<(usize, SessionMetrics, F::Summary)> = flat
+    let sessions = cells.len() as u64 * repetitions;
+    let observed: Vec<_> = (0..sessions)
         .into_par_iter()
-        .map(|(ordinal, c, rep)| {
+        .map(|ordinal| {
             let mut cfg = base.clone();
-            cfg.variable = cells[c];
+            cfg.variable = cells[(ordinal / repetitions) as usize];
+            let rep = ordinal % repetitions;
             let (metrics, obs) = run_session_with(&cfg, rep, factory.build(ordinal));
-            (c, metrics, factory.finish(obs))
+            (metrics, factory.finish(obs))
         })
         .collect();
 
-    let mut grouped: Vec<(Vec<SessionMetrics>, Option<F::Summary>)> = Vec::new();
-    grouped.resize_with(cells.len(), || (Vec::new(), None));
     // `collect` preserved flat (cell-major, repetition-minor) order, so
-    // this sequential pass merges each cell's summaries in repetition
+    // each cell's run of `repetitions` results merges in repetition
     // order — the deterministic aggregation step.
-    for (c, metrics, summary) in observed {
-        let (sessions, merged) = &mut grouped[c];
-        sessions.push(metrics);
-        match merged.as_mut() {
-            None => *merged = Some(summary),
-            Some(m) => m.merge(summary),
-        }
-    }
+    let mut observed = observed.into_iter();
     cells
         .iter()
-        .zip(grouped)
-        .map(|(&params, (sessions, merged))| ObservedCell {
-            params,
-            metrics: ReplicatedMetrics::from_sessions(sessions),
-            stats: merged.expect("repetitions >= 1"),
+        .map(|&params| {
+            let (sessions, summaries): (Vec<_>, Vec<_>) =
+                observed.by_ref().take(repetitions as usize).unzip();
+            ObservedCell {
+                params,
+                metrics: ReplicatedMetrics::from_sessions(sessions),
+                stats: merge_in_order(summaries).expect("repetitions >= 1"),
+            }
         })
         .collect()
 }
@@ -161,8 +100,9 @@ where
 mod tests {
     use super::*;
     use crate::config::ScanConfig;
+    use crate::metrics::SessionMetrics;
     use crate::observers::{DecisionStats, DecisionStatsFactory};
-    use crate::session::run_session;
+    use crate::platform::Platform;
     use scan_sched::scaling::ScalingPolicy;
 
     fn base() -> ScanConfig {
@@ -182,7 +122,8 @@ mod tests {
     fn parallel_matches_sequential() {
         let cfg = base();
         let par = run_replicated(&cfg, 3);
-        let seq: Vec<SessionMetrics> = (0..3).map(|rep| run_session(&cfg, rep)).collect();
+        let seq: Vec<SessionMetrics> =
+            (0..3).map(|rep| Platform::new(cfg.clone(), rep).run()).collect();
         assert_eq!(par.sessions, seq, "rayon must not change results");
     }
 
@@ -192,7 +133,7 @@ mod tests {
             .iter()
             .map(|&i| VariableParams::fig4(ScalingPolicy::AlwaysScale, i))
             .collect();
-        let results = sweep_grid(&base(), &cells, 2);
+        let results = sweep_grid_with(&base(), &cells, 2, &NullObserverFactory);
         assert_eq!(results.len(), 2);
         assert!((results[0].params.mean_interval - 2.2).abs() < 1e-12);
         assert!((results[1].params.mean_interval - 2.8).abs() < 1e-12);
@@ -224,17 +165,9 @@ mod tests {
             .map(|&cell| {
                 let mut c = cfg.clone();
                 c.variable = cell;
-                let mut sessions = Vec::new();
-                let mut merged: Option<DecisionStats> = None;
-                for rep in 0..reps {
-                    let (m, s) = run_session_with(&c, rep, DecisionStats::new());
-                    sessions.push(m);
-                    match merged.as_mut() {
-                        None => merged = Some(s),
-                        Some(acc) => acc.merge(s),
-                    }
-                }
-                (sessions, merged.unwrap())
+                let (sessions, stats): (Vec<_>, Vec<_>) =
+                    (0..reps).map(|rep| run_session_with(&c, rep, DecisionStats::new())).unzip();
+                (sessions, merge_in_order(stats).unwrap())
             })
             .collect();
 
@@ -248,21 +181,19 @@ mod tests {
         assert!(saw_decisions, "the loaded cell must exercise the decision counters");
     }
 
+    /// A one-cell observed sweep is the replicated run: same metrics as
+    /// [`run_replicated`], and the per-session folds merged in
+    /// repetition order.
     #[test]
-    fn replicated_with_merges_in_rep_order() {
+    fn one_cell_sweep_merges_in_rep_order() {
         let cfg = base();
-        let (metrics, stats) = run_replicated_with(&cfg, 3, &DecisionStatsFactory);
-        assert_eq!(metrics.n(), 3);
-        assert_eq!(stats.sessions(), 3);
-        // The merged totals equal the sum of per-session folds.
-        let mut expect: Option<DecisionStats> = None;
-        for rep in 0..3 {
-            let (_, s) = run_session_with(&cfg, rep, DecisionStats::new());
-            match expect.as_mut() {
-                None => expect = Some(s),
-                Some(acc) => acc.merge(s),
-            }
-        }
-        assert_eq!(stats, expect.unwrap());
+        let [cell] = sweep_grid_with(&cfg, &[cfg.variable], 3, &DecisionStatsFactory)
+            .try_into()
+            .expect("one cell");
+        assert_eq!(cell.metrics.sessions, run_replicated(&cfg, 3).sessions);
+        assert_eq!(cell.stats.sessions(), 3);
+        let expect =
+            merge_in_order((0..3).map(|rep| run_session_with(&cfg, rep, DecisionStats::new()).1));
+        assert_eq!(Some(cell.stats), expect);
     }
 }

@@ -49,6 +49,7 @@ pub use stats::{Histogram, OnlineStats, TimeWeighted};
 pub use tenant::TenantId;
 pub use time::{SimDuration, SimTime};
 pub use trace::{
-    EventSchema, FieldSchema, JsonlWriter, Merge, NullObserver, NullObserverFactory, Observer,
-    ObserverFactory, ObserverHandle, RingBuffer, ScalingChoice, TraceEvent, Tracer,
+    merge_in_order, EventSchema, FieldSchema, JsonlWriter, Merge, NullObserver,
+    NullObserverFactory, Observer, ObserverFactory, ObserverHandle, RingBuffer, ScalingChoice,
+    TraceEvent, Tracer,
 };

@@ -487,6 +487,17 @@ impl Merge for () {
     fn merge(&mut self, _other: ()) {}
 }
 
+/// Folds `summaries` left to right in iteration order: the first one is
+/// the accumulator and each later one merges into it. Every parallel
+/// driver folds through here, in session-ordinal order, so its result is
+/// the same at any thread count. `None` when there is nothing to merge.
+pub fn merge_in_order<S: Merge>(summaries: impl IntoIterator<Item = S>) -> Option<S> {
+    let mut summaries = summaries.into_iter();
+    let mut merged = summaries.next()?;
+    summaries.for_each(|s| merged.merge(s));
+    Some(merged)
+}
+
 /// The factory counterpart of [`NullObserver`]: builds inert observers
 /// and summarises them to `()`. Lets "no extra observers" reuse the same
 /// observed code path without a second implementation.
@@ -677,6 +688,19 @@ impl<W: io::Write> Observer for JsonlWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn merge_in_order_folds_left_to_right() {
+        struct Cat(String);
+        impl Merge for Cat {
+            fn merge(&mut self, other: Cat) {
+                self.0.push_str(&other.0);
+            }
+        }
+        let merged = merge_in_order(["a", "b", "c"].map(|s| Cat(s.into())));
+        assert_eq!(merged.map(|c| c.0).as_deref(), Some("abc"));
+        assert!(merge_in_order(Vec::<Cat>::new()).is_none());
+    }
 
     fn ev() -> TraceEvent {
         TraceEvent::JobArrived { job: 7, size_units: 5.25, submitted_tu: 1.5 }

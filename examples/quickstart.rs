@@ -8,8 +8,8 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use scan::platform::config::{ScanConfig, VariableParams};
-use scan::platform::session::run_session;
 use scan::platform::sweep::run_replicated;
+use scan::platform::Platform;
 use scan::sched::scaling::ScalingPolicy;
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
     cfg.fixed.sim_time_tu = 2_000.0;
 
     println!("SCAN quickstart: one 2,000 TU session\n");
-    let m = run_session(&cfg, 0);
+    let m = Platform::new(cfg.clone(), 0).run();
     println!("jobs submitted            : {}", m.jobs_submitted);
     println!(
         "pipeline runs completed   : {} ({:.1}%)",

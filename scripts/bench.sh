@@ -11,16 +11,12 @@
 #   ./scripts/bench.sh --label after --out BENCH_PR3.json
 #                                              merge this run into the
 #                                              ledger under "runs.after"
-#   ./scripts/bench.sh --compare old.json new.json [--tolerance 0.30]
-#                                              gate: fail if any benchmark
-#                                              in new is slower than old
-#                                              by more than the tolerance
-#                                              (runs nothing; pure ledger
-#                                              comparison)
 #
 # The ledger file accumulates runs: {"runs": {"<label>": {...}}}. Each run
 # records, per benchmark, the mean seconds/iteration plus the derived
-# sessions/sec and ns/event for the end-to-end session benches.
+# sessions/sec and ns/event for the end-to-end session benches. The
+# committed BENCH_PR*.json ledgers are history, not a gate: regressions
+# are caught by perfbench's live A/B runs of two commits (perfbench/).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,67 +24,16 @@ quick=0
 label="run"
 out=""
 subset=""
-compare_old=""
-compare_new=""
-tolerance="0.30"
 while [[ $# -gt 0 ]]; do
     case "$1" in
         --quick) quick=1 ;;
         --benches) subset="$2"; shift ;;
         --label) label="$2"; shift ;;
         --out) out="$2"; shift ;;
-        --compare) compare_old="$2"; compare_new="$3"; shift 2 ;;
-        --tolerance) tolerance="$2"; shift ;;
         *) echo "unknown flag: $1" >&2; exit 2 ;;
     esac
     shift
 done
-
-if [[ -n "$compare_old" ]]; then
-    python3 - "$compare_old" "$compare_new" "$tolerance" <<'PY'
-import json, sys
-
-old_path, new_path, tol = sys.argv[1], sys.argv[2], float(sys.argv[3])
-
-def flatten(path):
-    """A ledger ({"runs": {label: run}}) or a bare run ({"results": …}):
-    merge every run's results in insertion order, later labels winning."""
-    doc = json.load(open(path))
-    merged = {}
-    for run in doc.get("runs", {"": doc}).values():
-        merged.update(run.get("results", {}))
-    return merged
-
-old, new = flatten(old_path), flatten(new_path)
-common = sorted(set(old) & set(new))
-if not common:
-    sys.exit(f"no common benchmarks between {old_path} and {new_path}")
-
-regressions, rows = [], []
-for name in common:
-    o, n = old[name]["mean_s"], new[name]["mean_s"]
-    ratio = n / o if o else float("inf")
-    mark = " "
-    if ratio > 1.0 + tol:
-        mark = "R"
-        regressions.append(name)
-    elif ratio < 1.0 - tol:
-        mark = "+"
-    rows.append(f"  {mark} {name:<40} {o:>12.3e}s -> {n:>12.3e}s  ({ratio - 1.0:+8.1%})")
-
-print(f"bench compare: {old_path} -> {new_path} (tolerance ±{tol:.0%})")
-print("\n".join(rows))
-only = sorted(set(old) ^ set(new))
-if only:
-    print(f"  (not in both, skipped: {', '.join(only)})")
-if regressions:
-    print(f"FAIL: {len(regressions)} benchmark(s) regressed beyond {tol:.0%}: "
-          + ", ".join(regressions))
-    sys.exit(1)
-print(f"OK: no regression beyond {tol:.0%} across {len(common)} benchmarks")
-PY
-    exit 0
-fi
 
 if [[ -n "$subset" ]]; then
     IFS=',' read -r -a benches <<< "$subset"

@@ -15,11 +15,12 @@
 //! A mismatch names the file, the section and the row.
 
 use scan::platform::config::{ScanConfig, VariableParams};
-use scan::platform::fleet::{run_fleet, FleetConfig};
-use scan::platform::instrument::run_session_instrumented;
+use scan::platform::fleet::{run_fleet_with, FleetConfig};
+use scan::platform::Platform;
 use scan::sched::scaling::ScalingPolicy;
-use scan::sim::{ScalingChoice, TraceEvent};
+use scan::sim::{NullObserverFactory, ScalingChoice, TraceEvent};
 use scan::tracestore::{Agg, ColumnType, ALL_KINDS};
+use scan_metrics::Metrics;
 use scan_spans::ALL_SEGMENTS;
 use std::collections::BTreeSet;
 
@@ -225,10 +226,14 @@ fn registered_slo_families() -> BTreeSet<String> {
     let mut cfg = ScanConfig::new(VariableParams::fig4(ScalingPolicy::Predictive, 2.0), 7);
     cfg.fixed.sim_time_tu = 60.0;
     cfg.slo_target_tu = Some(1.0);
-    let (_, session, _) = run_session_instrumented(&cfg, 0, 10.0, false);
+    let metrics = Metrics::enabled(10.0);
+    let mut platform = Platform::new(cfg.clone(), 0);
+    platform.set_metrics(&metrics);
+    platform.run();
+    let session = metrics.into_registry().expect("registry uniquely owned after the run");
     let mut fleet = FleetConfig::new(cfg, 2);
     fleet.jobs_per_tenant = 2;
-    let fleet = run_fleet(&fleet, 0).registry();
+    let fleet = run_fleet_with(&fleet, 0, &NullObserverFactory).0.registry();
     let mut families = BTreeSet::new();
     for r in [&session, &fleet] {
         families.extend(r.counters().iter().map(|(m, _)| &m.family));

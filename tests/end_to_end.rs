@@ -2,8 +2,8 @@
 //! public facade, checking paper-level invariants.
 
 use scan::platform::config::{RewardKind, ScanConfig, VariableParams};
-use scan::platform::session::run_session;
 use scan::platform::sweep::run_replicated;
+use scan::platform::Platform;
 use scan::sched::alloc::AllocationPolicy;
 use scan::sched::scaling::ScalingPolicy;
 
@@ -16,7 +16,7 @@ fn cfg(scaling: ScalingPolicy, interval: f64, seed: u64) -> ScanConfig {
 #[test]
 fn accounting_identity_holds() {
     // profit/run × completed == total reward − total cost.
-    let m = run_session(&cfg(ScalingPolicy::Predictive, 2.4, 1), 0);
+    let m = Platform::new(cfg(ScalingPolicy::Predictive, 2.4, 1), 0).run();
     assert!(m.jobs_completed > 0);
     let lhs = m.profit_per_run * m.jobs_completed as f64;
     let rhs = m.total_reward - m.total_cost;
@@ -30,7 +30,7 @@ fn latency_beats_serial_baseline() {
     // The whole point of SCAN: parallelised pipelines complete much
     // faster than the serial execution of the same mean job (~31 TU for
     // d = 5 units at the paper's coefficients).
-    let m = run_session(&cfg(ScalingPolicy::Predictive, 2.5, 2), 0);
+    let m = Platform::new(cfg(ScalingPolicy::Predictive, 2.5, 2), 0).run();
     let serial = scan::workload::gatk::PipelineModel::paper().serial_latency(5.0);
     assert!(
         m.mean_latency < 0.7 * serial,
@@ -43,7 +43,7 @@ fn latency_beats_serial_baseline() {
 #[test]
 fn never_scale_never_pays_public_prices() {
     for interval in [0.8, 2.0, 3.0] {
-        let m = run_session(&cfg(ScalingPolicy::NeverScale, interval, 3), 0);
+        let m = Platform::new(cfg(ScalingPolicy::NeverScale, interval, 3), 0).run();
         assert_eq!(m.public_core_tu_share, 0.0, "interval {interval}");
     }
 }
@@ -92,8 +92,8 @@ fn throughput_reward_prefers_fast_plans() {
     slow.forced_plan = Some(vec![(1, 1); 7]);
     let mut fast = slow.clone();
     fast.forced_plan = Some(vec![(1, 4), (6, 1), (1, 4), (4, 1), (1, 8), (1, 1), (1, 1)]);
-    let ms = run_session(&slow, 0);
-    let mf = run_session(&fast, 0);
+    let ms = Platform::new(slow, 0).run();
+    let mf = Platform::new(fast, 0).run();
     assert!(mf.mean_latency < ms.mean_latency);
     assert!(mf.total_reward > ms.total_reward);
 }
@@ -105,7 +105,7 @@ fn every_policy_pairing_completes_work() {
             let mut c = cfg(scaling, 2.6, 7);
             c.variable.allocation = allocation;
             c.fixed.sim_time_tu = 300.0;
-            let m = run_session(&c, 0);
+            let m = Platform::new(c, 0).run();
             assert!(
                 m.completion_rate() > 0.5,
                 "{}/{} completed only {:.0}%",
@@ -131,10 +131,10 @@ fn replication_is_deterministic_and_varied() {
 fn reshape_mode_changes_behaviour() {
     let mut base = cfg(ScalingPolicy::NeverScale, 2.3, 9);
     base.variable.allocation = AllocationPolicy::Greedy;
-    let plain = run_session(&base, 0);
+    let plain = Platform::new(base.clone(), 0).run();
     let mut reshaped = base.clone();
     reshaped.allow_reshape = true;
-    let m = run_session(&reshaped, 0);
+    let m = Platform::new(reshaped, 0).run();
     assert_eq!(plain.reshapes, 0);
     assert!(m.reshapes > 0, "heterogeneous mode should reshape workers");
 }

@@ -7,7 +7,7 @@ use scan::platform::config::{ScanConfig, VariableParams};
 use scan::platform::fleet::{run_fleet_replicated_with, run_fleet_with, FleetConfig};
 use scan::platform::session::run_session_with;
 use scan::sched::scaling::ScalingPolicy;
-use scan::sim::{JsonlWriter, Merge, Observer};
+use scan::sim::{merge_in_order, JsonlWriter, Observer};
 use scan::tracestore::{Agg, EventKind, Query, TraceStore, TraceStoreFactory};
 
 fn session_cfg() -> ScanConfig {
@@ -34,19 +34,10 @@ fn merged_fleet_store_is_schedule_invariant() {
 
     let (par_metrics, par_store) = run_fleet_replicated_with(&cfg, reps, &factory);
 
-    let mut seq_metrics = Vec::new();
-    let mut seq_store: Option<TraceStore> = None;
-    for rep in 0..reps {
-        let (m, summaries) = run_fleet_with(&cfg, rep, &factory);
-        seq_metrics.push(m);
-        for s in summaries {
-            match seq_store.as_mut() {
-                None => seq_store = Some(s),
-                Some(acc) => acc.merge(s),
-            }
-        }
-    }
-    let seq_store = seq_store.expect("at least one tenant session ran");
+    let (seq_metrics, seq_stores): (Vec<_>, Vec<_>) =
+        (0..reps).map(|rep| run_fleet_with(&cfg, rep, &factory)).unzip();
+    let seq_store =
+        merge_in_order(seq_stores.into_iter().flatten()).expect("at least one tenant session ran");
 
     assert_eq!(par_metrics, seq_metrics, "fleet metrics must not depend on threads");
     assert!(par_store.events() > 0, "the fleet must ingest events");
