@@ -5,7 +5,6 @@
 //! debug-build oracle cross-checking the aggregates.
 
 use super::events::{Event, EventSink};
-use super::meters::ChoiceMeter;
 use super::Platform;
 use scan_cloud::instance::InstanceSize;
 use scan_cloud::vm::{boot_penalty, VmId};
@@ -75,7 +74,7 @@ impl Platform {
                             choice: ScalingChoice::Reshape,
                         });
                         if let Some(mm) = &self.meters {
-                            mm.metrics.counter_add(mm.choice[ChoiceMeter::Reshape as usize], 1);
+                            mm.metrics.counter_add(mm.choice[ScalingChoice::Reshape as usize], 1);
                         }
                         sink.schedule(ready_at, Event::VmReady(vm_id));
                         return true;
@@ -152,8 +151,10 @@ impl Platform {
                             },
                         );
                         if let Some(mm) = &self.meters {
-                            mm.metrics
-                                .counter_add(mm.choice[ChoiceMeter::ThrottledPrivate as usize], 1);
+                            mm.metrics.counter_add(
+                                mm.choice[ScalingChoice::ThrottledPrivate as usize],
+                                1,
+                            );
                             mm.metrics.record(mm.margin_wait, (dc - hire_cost).abs());
                         }
                         return false;
@@ -163,13 +164,13 @@ impl Platform {
                     }
                 }
                 if let Some(mm) = &self.meters {
-                    mm.metrics.counter_add(mm.choice[ChoiceMeter::HirePrivate as usize], 1);
+                    mm.metrics.counter_add(mm.choice[ScalingChoice::HirePrivate as usize], 1);
                 }
                 self.private_tier
             }
             ScalingDecision::HirePublic => {
                 if let Some(mm) = &self.meters {
-                    mm.metrics.counter_add(mm.choice[ChoiceMeter::HirePublic as usize], 1);
+                    mm.metrics.counter_add(mm.choice[ScalingChoice::HirePublic as usize], 1);
                     if costs.delay_cost.is_finite() {
                         mm.metrics
                             .record(mm.margin_hire, (costs.delay_cost - costs.hire_cost).abs());
@@ -179,7 +180,7 @@ impl Platform {
             }
             ScalingDecision::Wait => {
                 if let Some(mm) = &self.meters {
-                    mm.metrics.counter_add(mm.choice[ChoiceMeter::Wait as usize], 1);
+                    mm.metrics.counter_add(mm.choice[ScalingChoice::Wait as usize], 1);
                     if costs.delay_cost.is_finite() {
                         mm.metrics
                             .record(mm.margin_wait, (costs.delay_cost - costs.hire_cost).abs());

@@ -10,27 +10,7 @@
 
 use super::Platform;
 use scan_metrics::{CounterId, HistogramId, Metrics, SeriesId, SeriesKind};
-
-/// Index into [`PlatformMeters::choice`] per scaling outcome (the trace
-/// layer's `ScalingChoice` plus the platform-level throttle veto).
-#[derive(Debug, Clone, Copy)]
-pub(super) enum ChoiceMeter {
-    /// Let the queue wait.
-    Wait = 0,
-    /// Hire from the private tier.
-    HirePrivate = 1,
-    /// Private hire vetoed by the Eq. 1 throttle.
-    ThrottledPrivate = 2,
-    /// Hire from the public tier.
-    HirePublic = 3,
-    /// Reshape an idle worker instead of hiring.
-    Reshape = 4,
-}
-
-impl ChoiceMeter {
-    pub(super) const LABELS: [&'static str; 5] =
-        ["wait", "hire_private", "throttled_private", "hire_public", "reshape"];
-}
+use scan_sim::ScalingChoice;
 
 /// Every metric id the platform records through, plus the shared handle.
 #[derive(Debug, Clone)]
@@ -44,8 +24,8 @@ pub(super) struct PlatformMeters {
     /// decisions, split by which side won.
     pub(super) margin_hire: HistogramId,
     pub(super) margin_wait: HistogramId,
-    /// `scaling_choice_total{choice}`, indexed by [`ChoiceMeter`].
-    pub(super) choice: [CounterId; 5],
+    /// `scaling_choice_total{choice}`, indexed by `ScalingChoice as usize`.
+    pub(super) choice: [CounterId; ScalingChoice::ALL.len()],
     /// `broker_split_fanout`: stage-1 shards per admitted job.
     pub(super) split_fanout: HistogramId,
     /// `broker_merge_fanout`: shards gathered per completed stage.
@@ -111,11 +91,11 @@ impl Platform {
                 "cu",
                 "Eq. 1 |delay cost - hire cost| when the decision was to wait",
             );
-            let choice = ChoiceMeter::LABELS.map(|label| {
+            let choice = ScalingChoice::ALL.map(|choice| {
                 r.counter(
                     "scaling_choice_total",
                     "choice",
-                    label,
+                    choice.name(),
                     "1",
                     "Horizontal-scaling decisions, by outcome",
                 )

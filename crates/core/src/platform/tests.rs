@@ -337,6 +337,34 @@ fn golden_fixed_seed_trace_bytes() {
 const GOLDEN_TRACE_LEN: usize = 4335421;
 const GOLDEN_TRACE_FNV1A: u64 = 0x431326e026022972;
 
+/// Golden fixed-seed *registry*: the JSONL and Prometheus exports of a
+/// metered session with the SLO armed, reshaping allowed and a small
+/// private tier (so every `scaling_choice_total` counter and the SLO
+/// meters are registered, and all choices but the throttle are hit) must
+/// stay byte-identical across refactors of how the platform registers
+/// and records its meters.
+#[test]
+fn golden_fixed_seed_registry_exports() {
+    let mut cfg = short_config(ScalingPolicy::Predictive, 2.5);
+    cfg.allow_reshape = true;
+    cfg.fixed.private_capacity_cores = 64;
+    cfg.slo_target_tu = Some(10.0);
+    let metrics = scan_metrics::Metrics::enabled(crate::instrument::DEFAULT_WINDOW_TU);
+    let mut p = Platform::new(cfg, 0);
+    p.set_metrics(&metrics);
+    let _ = p.run();
+    let reg = metrics.into_registry().expect("registry uniquely owned after the run");
+    let fnv = |bytes: &[u8]| {
+        bytes.iter().fold(0xcbf29ce484222325u64, |h, &b| (h ^ b as u64).wrapping_mul(0x100000001b3))
+    };
+    let (mut jsonl, mut prom) = (Vec::new(), Vec::new());
+    scan_metrics::write_jsonl(&reg, &mut jsonl).expect("in-memory write");
+    scan_metrics::write_prometheus(&reg, &mut prom).expect("in-memory write");
+    let got = [jsonl.len() as u64, fnv(&jsonl), prom.len() as u64, fnv(&prom)];
+    println!("golden registry: {got:#x?}");
+    assert_eq!(got, [0x31a8, 0x5a86521942c7557e, 0x3197, 0x65aaa6f3285c41dc]);
+}
+
 // ----------------------------------------------------------------------
 // §VI learned policy
 // ----------------------------------------------------------------------

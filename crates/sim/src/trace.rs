@@ -93,7 +93,11 @@ pub enum ScalingChoice {
 }
 
 impl ScalingChoice {
-    /// Stable lowercase label (used by the JSONL writer).
+    /// Every choice, in declaration order (`ALL[c as usize] == c`).
+    pub const ALL: [ScalingChoice; 5] =
+        [Self::Wait, Self::HirePrivate, Self::ThrottledPrivate, Self::HirePublic, Self::Reshape];
+
+    /// Stable lowercase label (used by the JSONL writer and the trace store).
     pub fn name(self) -> &'static str {
         match self {
             Self::Wait => "wait",
@@ -103,12 +107,18 @@ impl ScalingChoice {
             Self::Reshape => "reshape",
         }
     }
+
+    /// The choice whose [`name`](Self::name) is `name`.
+    pub fn from_name(name: &str) -> Option<ScalingChoice> {
+        Self::ALL.into_iter().find(|c| c.name() == name)
+    }
 }
 
 /// Declares the event vocabulary once: each variant's rustdoc, kind tag
 /// and fields (name, type, rustdoc). Expands to the [`TraceEvent`] enum,
-/// [`TraceEvent::kind`], [`TraceEvent::index`], [`TraceEvent::SCHEMA`]
-/// and the JSONL field writer, so adding an event kind is one
+/// its fieldless twin [`EventKind`], [`TraceEvent::SCHEMA`], the field
+/// accessor [`TraceEvent::with_fields`] and the constructor
+/// [`TraceEvent::from_fields`], so adding an event kind is one
 /// declaration below.
 macro_rules! trace_events {
     (
@@ -138,6 +148,41 @@ macro_rules! trace_events {
             )*
         }
 
+        /// The kind of a [`TraceEvent`]: one fieldless variant per event
+        /// variant, in declaration order (`ALL[k as usize] == k`).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        $vis enum EventKind {
+            $(
+                #[doc = concat!("`", $tag, "` events.")]
+                $variant,
+            )*
+        }
+
+        impl EventKind {
+            /// Every kind, in declaration order.
+            pub const ALL: [EventKind; $name::SCHEMA.len()] = [$(Self::$variant),*];
+
+            /// The kind of `event`.
+            #[inline]
+            pub fn of(event: &$name) -> EventKind {
+                match event {
+                    $($name::$variant { .. } => Self::$variant,)*
+                }
+            }
+
+            /// Stable lowercase kind tag (used by the JSONL writer and filters).
+            pub fn tag(self) -> &'static str {
+                match self {
+                    $(Self::$variant => $tag,)*
+                }
+            }
+
+            /// This kind's declaration in [`TraceEvent::SCHEMA`].
+            pub fn schema(self) -> &'static EventSchema {
+                &$name::SCHEMA[self as usize]
+            }
+        }
+
         impl $name {
             /// Every variant's declaration, in declaration order
             /// (`SCHEMA[e.index()]` describes `e`).
@@ -146,41 +191,58 @@ macro_rules! trace_events {
                 variant: stringify!($variant),
                 fields: &[$(FieldSchema {
                     name: stringify!($field),
-                    ty: <$ty as JsonField>::TYPE,
+                    ty: <$ty as Field>::TYPE,
                 }),*],
             }),*];
 
-            /// Stable lowercase kind tag (used by the JSONL writer and filters).
-            pub fn kind(&self) -> &'static str {
-                match self {
-                    $(Self::$variant { .. } => $tag,)*
-                }
-            }
-
-            /// Position of this event's variant in [`TraceEvent::SCHEMA`].
+            /// Calls `f` with this event's field values, in declaration
+            /// order.
             #[inline]
-            pub fn index(&self) -> usize {
-                enum Index {
-                    $($variant,)*
-                }
-                match self {
-                    $(Self::$variant { .. } => Index::$variant as usize,)*
+            pub fn with_fields<R>(&self, f: impl FnOnce(&[FieldValue]) -> R) -> R {
+                match *self {
+                    $(Self::$variant { $($field),* } => f(&[$(Field::value($field)),*]),)*
                 }
             }
 
-            /// Appends `,"field":value` for every payload field.
-            fn write_json_fields(&self, line: &mut String) {
-                match *self {
-                    $(Self::$variant { $($field),* } => {
-                        $(
-                            line.push_str(concat!(",\"", stringify!($field), "\":"));
-                            $field.write_json(line);
-                        )*
-                    })*
-                }
+            /// Builds a `kind` event from exactly its field values, in
+            /// declaration order; `None` if one is missing, extra or of
+            /// the wrong type.
+            #[inline]
+            pub fn from_fields(kind: EventKind, values: &[FieldValue]) -> Option<$name> {
+                Some(match (kind, values) {
+                    $((EventKind::$variant, &[$($field),*]) => Self::$variant {
+                        $($field: Field::from_value($field)?,)*
+                    },)*
+                    _ => return None,
+                })
             }
         }
     };
+}
+
+impl TraceEvent {
+    /// The most payload fields any variant declares.
+    pub const MAX_FIELDS: usize = {
+        let (mut max, mut i) = (0, 0);
+        while i < Self::SCHEMA.len() {
+            if Self::SCHEMA[i].fields.len() > max {
+                max = Self::SCHEMA[i].fields.len();
+            }
+            i += 1;
+        }
+        max
+    };
+
+    /// Stable lowercase kind tag (used by the JSONL writer and filters).
+    pub fn kind(&self) -> &'static str {
+        EventKind::of(self).tag()
+    }
+
+    /// Position of this event's variant in [`TraceEvent::SCHEMA`].
+    #[inline]
+    pub fn index(&self) -> usize {
+        EventKind::of(self) as usize
+    }
 }
 
 /// One declared [`TraceEvent`] variant.
@@ -203,43 +265,74 @@ pub struct FieldSchema {
     pub ty: &'static str,
 }
 
-/// A payload field type: its schema type label and JSONL encoding.
-trait JsonField: Copy {
+/// One payload field's value, as [`TraceEvent::with_fields`] hands it
+/// out and [`TraceEvent::from_fields`] takes it back.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FieldValue {
+    /// A `u64` field (job and VM numbers, counters).
+    U64(u64),
+    /// A `u32` field (stages, cores, tier indices, depths).
+    U32(u32),
+    /// An `f64` field (times in TU, costs in CU, sizes).
+    F64(f64),
+    /// A [`ScalingChoice`] field.
+    Choice(ScalingChoice),
+}
+
+impl FieldValue {
+    /// Appends the JSON value: integers verbatim, `f64` through
+    /// [`push_json_f64`], a choice as its quoted name.
+    fn write_json(self, line: &mut String) {
+        match self {
+            Self::U64(v) => {
+                let _ = write!(line, "{v}");
+            }
+            Self::U32(v) => {
+                let _ = write!(line, "{v}");
+            }
+            Self::F64(v) => push_json_f64(line, v),
+            Self::Choice(c) => {
+                line.push('"');
+                line.push_str(c.name());
+                line.push('"');
+            }
+        }
+    }
+}
+
+/// A payload field type: its schema type label and its [`FieldValue`].
+trait Field: Copy {
     /// Type label in [`FieldSchema::ty`].
     const TYPE: &'static str;
-    /// Appends the JSON value.
-    fn write_json(self, line: &mut String);
+    /// The value, wrapped.
+    fn value(self) -> FieldValue;
+    /// The value back, if `value` holds this type.
+    fn from_value(value: FieldValue) -> Option<Self>;
 }
 
-impl JsonField for u64 {
-    const TYPE: &'static str = "u64";
-    fn write_json(self, line: &mut String) {
-        let _ = write!(line, "{self}");
-    }
+/// Implements [`Field`] for each payload type through its [`FieldValue`]
+/// variant.
+macro_rules! field_types {
+    ($($ty:ty => $variant:ident as $label:literal),*) => {$(
+        impl Field for $ty {
+            const TYPE: &'static str = $label;
+            #[inline]
+            fn value(self) -> FieldValue {
+                FieldValue::$variant(self)
+            }
+            #[inline]
+            fn from_value(value: FieldValue) -> Option<Self> {
+                match value {
+                    FieldValue::$variant(v) => Some(v),
+                    _ => None,
+                }
+            }
+        }
+    )*};
 }
 
-impl JsonField for u32 {
-    const TYPE: &'static str = "u32";
-    fn write_json(self, line: &mut String) {
-        let _ = write!(line, "{self}");
-    }
-}
-
-impl JsonField for f64 {
-    const TYPE: &'static str = "f64";
-    fn write_json(self, line: &mut String) {
-        push_json_f64(line, self);
-    }
-}
-
-impl JsonField for ScalingChoice {
-    const TYPE: &'static str = "string";
-    fn write_json(self, line: &mut String) {
-        line.push('"');
-        line.push_str(self.name());
-        line.push('"');
-    }
-}
+field_types!(u64 => U64 as "u64", u32 => U32 as "u32", f64 => F64 as "f64",
+    ScalingChoice => Choice as "string");
 
 trace_events! {
     /// One observation from the simulation. Variants mirror the platform's
@@ -676,7 +769,14 @@ impl<W: io::Write> Observer for JsonlWriter<W> {
         let _ = write!(line, "{{\"t\":");
         push_json_f64(line, at.as_tu());
         let _ = write!(line, ",\"kind\":\"{}\"", event.kind());
-        event.write_json_fields(line);
+        event.with_fields(|values| {
+            for (field, value) in EventKind::of(event).schema().fields.iter().zip(values) {
+                line.push_str(",\"");
+                line.push_str(field.name);
+                line.push_str("\":");
+                value.write_json(line);
+            }
+        });
         line.push('}');
         line.push('\n');
         if self.out.write_all(line.as_bytes()).is_err() {
@@ -873,6 +973,56 @@ mod tests {
                 schema.fields.iter().map(|f| format!("\"{}\":", f.name)).collect();
             assert!(keys.iter().all(|k| line.contains(k.as_str())), "{line}");
         }
+    }
+
+    #[test]
+    fn kinds_and_choices_follow_their_declarations() {
+        for (i, kind) in EventKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i);
+            assert_eq!(kind.tag(), TraceEvent::SCHEMA[i].tag);
+            assert_eq!(format!("{kind:?}"), TraceEvent::SCHEMA[i].variant);
+        }
+        for (i, choice) in ScalingChoice::ALL.into_iter().enumerate() {
+            assert_eq!(choice as usize, i);
+            assert_eq!(ScalingChoice::from_name(choice.name()), Some(choice));
+        }
+        assert_eq!(ScalingChoice::from_name("hire"), None);
+    }
+
+    #[test]
+    fn from_fields_inverts_with_fields() {
+        let events = [
+            ev(),
+            TraceEvent::SubtaskDispatched {
+                job: u64::MAX,
+                stage: 2,
+                vm: 9,
+                cores: 4,
+                waited_tu: 0.5,
+                busy_tu: 1.25,
+            },
+            TraceEvent::ScalingDecision {
+                stage: 1,
+                cores: 2,
+                queued_jobs: 3,
+                delay_cost: -0.0,
+                hire_cost: f64::INFINITY,
+                choice: ScalingChoice::Reshape,
+            },
+        ];
+        for e in events {
+            let kind = EventKind::of(&e);
+            let values = e.with_fields(<[FieldValue]>::to_vec);
+            assert_eq!(values.len(), kind.schema().fields.len());
+            assert!(values.len() <= TraceEvent::MAX_FIELDS);
+            assert_eq!(TraceEvent::from_fields(kind, &values), Some(e));
+            // Too few, too many, or mistyped values build nothing.
+            assert_eq!(TraceEvent::from_fields(kind, &values[..values.len() - 1]), None);
+            let long = [&values[..], &[FieldValue::U32(0)]].concat();
+            assert_eq!(TraceEvent::from_fields(kind, &long), None);
+        }
+        let mistyped = [FieldValue::U32(7), FieldValue::F64(5.25), FieldValue::F64(1.5)];
+        assert_eq!(TraceEvent::from_fields(EventKind::JobArrived, &mistyped), None);
     }
 
     #[test]

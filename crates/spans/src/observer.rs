@@ -107,24 +107,24 @@ impl SpanObserver {
         &mut self.vms[idx]
     }
 
-    pub(crate) fn on_vm_hired(&mut self, at: f64, vm: u64, tier: u32) {
+    fn on_vm_hired(&mut self, at: f64, vm: u64, tier: u32) {
         *self.vm_slot(vm) =
             Some(VmRec { tier, boot_start: at, boot_end: at, reshape: false, booted: false });
     }
 
-    pub(crate) fn on_vm_reshaped(&mut self, at: f64, vm: u64, tier: u32) {
+    fn on_vm_reshaped(&mut self, at: f64, vm: u64, tier: u32) {
         *self.vm_slot(vm) =
             Some(VmRec { tier, boot_start: at, boot_end: at, reshape: true, booted: false });
     }
 
-    pub(crate) fn on_vm_booted(&mut self, at: f64, vm: u64) {
+    fn on_vm_booted(&mut self, at: f64, vm: u64) {
         if let Some(rec) = self.vm_slot(vm) {
             rec.boot_end = at;
             rec.booted = true;
         }
     }
 
-    pub(crate) fn on_job_arrived(&mut self, at: f64, job: u64, submitted_tu: f64) {
+    fn on_job_arrived(&mut self, at: f64, job: u64, submitted_tu: f64) {
         let idx = job as usize;
         if idx >= self.jobs.len() {
             self.jobs.resize(idx + 1, None);
@@ -133,13 +133,13 @@ impl SpanObserver {
             Some(JobRec { submitted_tu, arrived_t: at, stages: Vec::with_capacity(7) });
     }
 
-    pub(crate) fn on_stage_advanced(&mut self, at: f64, job: u64) {
+    fn on_stage_advanced(&mut self, at: f64, job: u64) {
         if let Some(Some(rec)) = self.jobs.get_mut(job as usize) {
             rec.stages.push(StageRec { enq_t: at, anchor: None });
         }
     }
 
-    pub(crate) fn on_dispatched(&mut self, at: f64, job: u64, stage: u32, vm: u64, busy_tu: f64) {
+    fn on_dispatched(&mut self, at: f64, job: u64, stage: u32, vm: u64, busy_tu: f64) {
         let snap = match self.vms.get(vm as usize).copied().flatten() {
             Some(rec) if rec.booted => (
                 rec.tier,
@@ -165,7 +165,7 @@ impl SpanObserver {
         }
     }
 
-    pub(crate) fn on_completed(&mut self, at: f64, job: u64, latency_tu: f64, reward: f64) {
+    fn on_completed(&mut self, at: f64, job: u64, latency_tu: f64, reward: f64) {
         let Some(slot) = self.jobs.get_mut(job as usize) else {
             return;
         };

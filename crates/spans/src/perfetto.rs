@@ -18,34 +18,11 @@
 //!   by `id = (tenant << 32) | job` in hex.
 
 use crate::span::SpanSet;
-use scan_tracestore::{tier_label, Column, EventKind, Table, TraceStore};
+use scan_tracestore::{tier_label, EventKind, TraceStore};
 use std::fmt::Write as _;
 
 /// Offset keeping VM thread tracks clear of the reserved/queue tids.
 const VM_TID_OFFSET: u64 = 16;
-
-fn u32s<'a>(table: &'a Table, name: &str) -> &'a [u32] {
-    match table.column(name) {
-        Some(Column::U32(v)) => v,
-        _ => &[],
-    }
-}
-
-fn f64s<'a>(table: &'a Table, name: &str) -> &'a [f64] {
-    match table.column(name) {
-        Some(Column::F64(v)) => v,
-        _ => &[],
-    }
-}
-
-fn dict_labels(table: &Table, name: &str) -> Vec<String> {
-    match table.column(name) {
-        Some(Column::Dict { codes, dict }) => {
-            codes.iter().map(|&c| dict.label(c).to_string()).collect()
-        }
-        _ => Vec::new(),
-    }
-}
 
 /// Escapes a string for a JSON literal (control chars, quotes, slashes).
 fn escape(s: &str) -> String {
@@ -123,8 +100,8 @@ pub fn export(store: &TraceStore, spans: &SpanSet) -> String {
     }
     // One thread track per hired VM, named with its (first) tier.
     let hired = store.table(EventKind::VmHired);
-    let (h_vm, h_tier) = (u32s(hired, "vm"), dict_labels(hired, "tier"));
-    let mut named: Vec<(u32, u32)> = Vec::new();
+    let (h_vm, h_tier) = (hired.u64s("vm"), hired.labels("tier"));
+    let mut named: Vec<(u32, u64)> = Vec::new();
     for i in 0..hired.rows() {
         let key = (hired.tenant()[i], h_vm[i]);
         if !named.contains(&key) {
@@ -133,9 +110,9 @@ pub fn export(store: &TraceStore, spans: &SpanSet) -> String {
                 "\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{},\"tid\":{},\
                  \"args\":{{\"name\":\"vm {} ({})\"}}",
                 key.0,
-                u64::from(key.1) + VM_TID_OFFSET,
+                key.1 + VM_TID_OFFSET,
                 key.1,
-                escape(&h_tier[i]),
+                escape(h_tier[i]),
             ));
         }
     }
@@ -143,9 +120,9 @@ pub fn export(store: &TraceStore, spans: &SpanSet) -> String {
     // --- Boot / reshape slices ------------------------------------------
     // Pair each hire or reshape with the next boot of the same VM.
     let reshaped = store.table(EventKind::VmReshaped);
-    let (r_vm, r_tier) = (u32s(reshaped, "vm"), dict_labels(reshaped, "tier"));
+    let (r_vm, r_tier) = (reshaped.u64s("vm"), reshaped.labels("tier"));
     let booted = store.table(EventKind::VmBooted);
-    let b_vm = u32s(booted, "vm");
+    let b_vm = booted.u64s("vm");
     let mut starts: Vec<(u32, u64, u8, u32)> = Vec::new();
     for i in 0..hired.rows() {
         starts.push((hired.tenant()[i], hired.t_bits()[i], 0, i as u32));
@@ -154,8 +131,8 @@ pub fn export(store: &TraceStore, spans: &SpanSet) -> String {
         starts.push((reshaped.tenant()[i], reshaped.t_bits()[i], 1, i as u32));
     }
     starts.sort_unstable();
-    let mut open: Vec<((u32, u32), (f64, String))> = Vec::new();
-    let mut boots: Vec<(u32, f64, f64, String, u32)> = Vec::new();
+    let mut open: Vec<((u32, u64), (f64, String))> = Vec::new();
+    let mut boots: Vec<(u32, f64, f64, String, u64)> = Vec::new();
     let mut bi = 0usize;
     // Replay starts and boots in time order per tenant (single-run
     // stores are time-monotone per tenant, and boot always follows its
@@ -163,8 +140,8 @@ pub fn export(store: &TraceStore, spans: &SpanSet) -> String {
     for (tenant, t_bits, which, i) in starts {
         let i = i as usize;
         let (vm, name) = match which {
-            0 => (h_vm[i], format!("boot ({})", escape(&h_tier[i]))),
-            _ => (r_vm[i], format!("reshape ({})", escape(&r_tier[i]))),
+            0 => (h_vm[i], format!("boot ({})", escape(h_tier[i]))),
+            _ => (r_vm[i], format!("reshape ({})", escape(r_tier[i]))),
         };
         // Close any boots that completed before this start.
         while bi < booted.rows() && booted.t_bits()[bi] <= t_bits {
@@ -195,15 +172,15 @@ pub fn export(store: &TraceStore, spans: &SpanSet) -> String {
              \"pid\":{tenant},\"tid\":{}",
             us(start),
             us(end - start),
-            u64::from(vm) + VM_TID_OFFSET,
+            vm + VM_TID_OFFSET,
         ));
     }
 
     // --- Subtask slices --------------------------------------------------
     let disp = store.table(EventKind::SubtaskDispatched);
-    let (d_job, d_stage) = (u32s(disp, "job"), u32s(disp, "stage"));
-    let (d_vm, d_cores) = (u32s(disp, "vm"), u32s(disp, "cores"));
-    let d_busy = f64s(disp, "busy_tu");
+    let (d_job, d_stage) = (disp.u64s("job"), disp.u32s("stage"));
+    let (d_vm, d_cores) = (disp.u64s("vm"), disp.u32s("cores"));
+    let d_busy = disp.f64s("busy_tu");
     for i in 0..disp.rows() {
         w.push(&format!(
             "\"name\":\"job {}/s{}\",\"cat\":\"subtask\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
@@ -213,14 +190,14 @@ pub fn export(store: &TraceStore, spans: &SpanSet) -> String {
             us(disp.time_tu(i)),
             us(d_busy[i]),
             disp.tenant()[i],
-            u64::from(d_vm[i]) + VM_TID_OFFSET,
+            d_vm[i] + VM_TID_OFFSET,
             d_cores[i],
         ));
     }
 
     // --- Queue-depth counters -------------------------------------------
-    let depth = store.table(EventKind::QueueDepth);
-    let d_val = u32s(depth, "depth");
+    let depth = store.table(EventKind::QueueDepthSampled);
+    let d_val = depth.u32s("depth");
     for (i, &d) in d_val.iter().enumerate() {
         w.push(&format!(
             "\"name\":\"queue_depth\",\"ph\":\"C\",\"ts\":{},\"pid\":{},\

@@ -8,6 +8,8 @@
 //! order (see [`TraceStore`](crate::TraceStore)).
 
 use crate::schema::ColumnType;
+use crate::store::tier_label;
+use scan_sim::FieldValue;
 
 /// A per-column string dictionary: code = first-appearance index.
 ///
@@ -107,39 +109,27 @@ impl Column {
         self.len() == 0
     }
 
-    /// Appends a `u32` row.
+    /// Appends one event field value: a number to the column of its
+    /// own type, a `u32` to a dictionary column as its [`tier_label`]
+    /// (the one `u32` field stored as a label is a tier), a scaling
+    /// choice as its name.
     ///
     /// # Panics
-    /// Panics if the column is not [`Column::U32`].
-    pub fn push_u32(&mut self, v: u32) {
-        match self {
-            Column::U32(vec) => vec.push(v),
+    /// Panics if the value does not fit the column's type.
+    #[inline]
+    pub fn push(&mut self, value: FieldValue) {
+        match (self, value) {
+            (Column::U32(v), FieldValue::U32(x)) => v.push(x),
+            (Column::U64(v), FieldValue::U64(x)) => v.push(x),
+            (Column::F64(v), FieldValue::F64(x)) => v.push(x),
+            (Column::Dict { codes, dict }, FieldValue::U32(tier)) => {
+                codes.push(dict.intern(tier_label(tier)))
+            }
+            (Column::Dict { codes, dict }, FieldValue::Choice(choice)) => {
+                codes.push(dict.intern(choice.name()))
+            }
             // scan-lint: allow(no-panic, panic-path) -- `# Panics` contract: type confusion is a bug.
-            _ => panic!("push_u32 on a non-u32 column"),
-        }
-    }
-
-    /// Appends a `u64` row.
-    ///
-    /// # Panics
-    /// Panics if the column is not [`Column::U64`].
-    pub fn push_u64(&mut self, v: u64) {
-        match self {
-            Column::U64(vec) => vec.push(v),
-            // scan-lint: allow(no-panic, panic-path) -- `# Panics` contract: type confusion is a bug.
-            _ => panic!("push_u64 on a non-u64 column"),
-        }
-    }
-
-    /// Appends an `f64` row.
-    ///
-    /// # Panics
-    /// Panics if the column is not [`Column::F64`].
-    pub fn push_f64(&mut self, v: f64) {
-        match self {
-            Column::F64(vec) => vec.push(v),
-            // scan-lint: allow(no-panic, panic-path) -- `# Panics` contract: type confusion is a bug.
-            _ => panic!("push_f64 on a non-f64 column"),
+            _ => panic!("field value does not fit the column type"),
         }
     }
 
@@ -205,6 +195,7 @@ impl Column {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scan_sim::ScalingChoice;
 
     #[test]
     fn interner_assigns_first_appearance_codes() {
@@ -239,17 +230,38 @@ mod tests {
     #[test]
     fn numeric_append_and_values() {
         let mut a = Column::new(ColumnType::F64);
-        a.push_f64(1.5);
+        a.push(FieldValue::F64(1.5));
         let mut b = Column::new(ColumnType::F64);
-        b.push_f64(2.5);
+        b.push(FieldValue::F64(2.5));
         a.append(&b);
         assert_eq!(a.len(), 2);
         assert_eq!(a.value_f64(1), 2.5);
         assert_eq!(a.group_key(0), None);
 
         let mut u = Column::new(ColumnType::U32);
-        u.push_u32(7);
+        u.push(FieldValue::U32(7));
         assert_eq!(u.group_key(0), Some(7));
         assert_eq!(u.value_f64(0), 7.0);
+    }
+
+    #[test]
+    fn labels_encode_tiers_and_choices() {
+        let mut d = Column::new(ColumnType::Dict);
+        d.push(FieldValue::U32(1));
+        d.push(FieldValue::Choice(ScalingChoice::Reshape));
+        d.push(FieldValue::U32(1));
+        match &d {
+            Column::Dict { codes, dict } => {
+                assert_eq!(codes, &[0, 1, 0]);
+                assert_eq!(dict.labels(), ["public", "reshape"]);
+            }
+            _ => unreachable!("d was built as a dict column"),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn mistyped_values_are_rejected() {
+        Column::new(ColumnType::U32).push(FieldValue::U64(7));
     }
 }

@@ -1,19 +1,19 @@
-//! The compact on-disk export: `SCTS` version 1.
+//! The compact on-disk export: `SCTS` version 2.
 //!
 //! Layout (all integers little-endian; `varint` is LEB128, 7 bits per
 //! byte, low group first):
 //!
 //! ```text
 //! magic      b"SCTS"
-//! version    u32        (currently 1)
-//! table ×15, in ALL_KINDS order:
+//! version    u32        (currently 2)
+//! table ×16, in EventKind::ALL order:
 //!   rows       varint
 //!   if rows > 0:
 //!     t        delta-varint × rows   (u64 f64-bit-pattern deltas; the
 //!                                     column is monotone, so deltas fit
 //!                                     small varints)
 //!     tenant   varint × rows
-//!     per declared column, in EventKind::columns order:
+//!     per stored column, in columns(kind) order:
 //!       U32    varint × rows
 //!       U64    varint × rows
 //!       F64    raw 8-byte LE × rows
@@ -30,7 +30,7 @@
 //! kinds.
 
 use crate::column::{Column, Interner};
-use crate::schema::{ColumnType, ALL_KINDS};
+use crate::schema::{columns, ColumnType, EventKind};
 use crate::store::{Table, TraceStore};
 use std::fmt;
 
@@ -165,13 +165,12 @@ fn encode_table(out: &mut Vec<u8>, table: &Table) {
     }
 }
 
-fn decode_table(r: &mut Reader<'_>, kind: crate::schema::EventKind) -> Result<Table, ExportError> {
+fn decode_table(r: &mut Reader<'_>, kind: EventKind) -> Result<Table, ExportError> {
     let rows = usize::try_from(r.varint()?).map_err(|_| ExportError::Malformed)?;
     if rows == 0 {
         // Even an empty table carries its declared (empty) columns, so
         // schema-resolved queries stay in bounds.
-        let cols = kind.columns().iter().map(|spec| Column::new(spec.ty)).collect();
-        return Ok(Table::from_parts(kind, Vec::new(), Vec::new(), cols));
+        return Ok(Table::new(kind));
     }
     // Cap against absurd row counts before allocating (a corrupt varint
     // must not turn into an OOM): the buffer can hold at most one byte
@@ -189,8 +188,8 @@ fn decode_table(r: &mut Reader<'_>, kind: crate::schema::EventKind) -> Result<Ta
     for _ in 0..rows {
         tenant.push(r.varint_u32()?);
     }
-    let mut cols = Vec::with_capacity(kind.columns().len());
-    for spec in kind.columns() {
+    let mut cols = Vec::with_capacity(columns(kind).len());
+    for spec in columns(kind) {
         let col = match spec.ty {
             ColumnType::U32 => {
                 let mut v = Vec::with_capacity(rows);
@@ -245,7 +244,7 @@ fn decode_table(r: &mut Reader<'_>, kind: crate::schema::EventKind) -> Result<Ta
 }
 
 impl TraceStore {
-    /// Encodes the store as an SCTS v1 buffer (payload + digest
+    /// Encodes the store as an SCTS v2 buffer (payload + digest
     /// trailer). Bit-identical for equal stores, so merged fleet exports
     /// reproduce across `RAYON_NUM_THREADS`.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -270,7 +269,7 @@ impl TraceStore {
         u64::from_le_bytes(le)
     }
 
-    /// Decodes an SCTS v1 buffer, verifying magic, version, layout, and
+    /// Decodes an SCTS v2 buffer, verifying magic, version, layout, and
     /// the digest trailer.
     pub fn from_bytes(bytes: &[u8]) -> Result<TraceStore, ExportError> {
         if bytes.len() < MAGIC.len() + 4 + 8 {
@@ -294,8 +293,8 @@ impl TraceStore {
         if version != VERSION {
             return Err(ExportError::BadVersion(version));
         }
-        let mut tables = Vec::with_capacity(ALL_KINDS.len());
-        for kind in ALL_KINDS {
+        let mut tables = Vec::with_capacity(EventKind::ALL.len());
+        for kind in EventKind::ALL {
             tables.push(decode_table(&mut r, kind)?);
         }
         if r.pos != payload.len() {
@@ -343,6 +342,118 @@ mod tests {
         );
         store.ingest(SimTime::new(9.0), &TraceEvent::RunEnded { events_dispatched: 1 << 40 });
         store
+    }
+
+    /// One event of every variant (two fleet tenants, every
+    /// `ScalingChoice`, both tiers, NaN and infinite costs), each at its
+    /// own time.
+    fn every_variant() -> Vec<(SimTime, TraceEvent)> {
+        let decision = |choice, delay_cost, hire_cost| TraceEvent::ScalingDecision {
+            stage: 6,
+            cores: 16,
+            queued_jobs: 4_000_000_000,
+            delay_cost,
+            hire_cost,
+            choice,
+        };
+        let events = [
+            TraceEvent::VmHired { vm: 3, tier: 1, cores: 8 },
+            TraceEvent::VmHired { vm: 4, tier: 0, cores: 2 },
+            TraceEvent::AdmissionDeferred { tenant: 2, jobs: 5, backlog: 5 },
+            TraceEvent::JobArrived { job: 7, size_units: 5.798604725604796, submitted_tu: 0.1 },
+            TraceEvent::JobStageAdvanced { job: 7, stage: 0, shards: 2, cores: 8 },
+            TraceEvent::VmBooted { vm: 3, cores: 8 },
+            TraceEvent::SubtaskDispatched {
+                job: 7,
+                stage: 0,
+                vm: 3,
+                cores: 8,
+                waited_tu: 0.25,
+                busy_tu: 1.7648625957560722,
+            },
+            TraceEvent::SubtaskDispatched {
+                job: u64::from(u32::MAX),
+                stage: 1,
+                vm: 4,
+                cores: 2,
+                waited_tu: 0.0,
+                busy_tu: 3.5,
+            },
+            TraceEvent::SubtaskDone { job: 7, stage: 0, vm: 3 },
+            TraceEvent::VmReshaped { vm: 4, tier: 0, cores_from: 2, cores_to: 8 },
+            decision(ScalingChoice::Wait, 10.5, 2.25),
+            decision(ScalingChoice::HirePrivate, f64::NAN, f64::NAN),
+            decision(ScalingChoice::ThrottledPrivate, f64::INFINITY, 0.0),
+            decision(ScalingChoice::HirePublic, -0.0, f64::NEG_INFINITY),
+            decision(ScalingChoice::Reshape, 1.0, 3.0),
+            TraceEvent::QueueDepthSampled { depth: u32::MAX },
+            TraceEvent::JobCompleted {
+                job: 7,
+                latency_tu: 15.8160051595641,
+                reward: -2.5,
+                core_stages: 37.0,
+            },
+            TraceEvent::SloViolation { job: 7, latency_tu: 15.8160051595641, target_tu: 10.0 },
+            TraceEvent::AdmissionResumed { tenant: 2, jobs: 5, backlog: 0 },
+            TraceEvent::VmReleased { vm: 3, tier: 1, cores: 8 },
+            TraceEvent::TierSettled { tier: 0, cost: 12.5, core_tu: 621972.7974353022 },
+            TraceEvent::TierSettled { tier: 1, cost: f64::NAN, core_tu: 0.0 },
+            TraceEvent::RunEnded { events_dispatched: 1 << 40 },
+        ];
+        events.into_iter().enumerate().map(|(i, e)| (SimTime::new(i as f64 * 0.5), e)).collect()
+    }
+
+    /// Byte pin for every table's layout: the fleet digest covers only
+    /// the kinds a fleet run emits, so this store holds one row (or
+    /// more) of all sixteen.
+    #[test]
+    fn every_table_scts_bytes_are_pinned() {
+        let mut store = TraceStore::for_tenant(1);
+        for (at, e) in every_variant() {
+            store.ingest(at, &e);
+        }
+        assert!(store.tables().iter().all(|t| !t.is_empty()));
+        let got = (store.digest(), store.to_bytes().len());
+        assert_eq!(got, (0xa737dde756355d57, 665), "{got:#x?}");
+    }
+
+    /// Every ingested event reads back from its table row unchanged, from
+    /// the live store and from its decoded export.
+    #[test]
+    fn table_rows_read_back_as_their_events() {
+        let events = every_variant();
+        let mut store = TraceStore::for_tenant(1);
+        for (at, e) in &events {
+            store.ingest(*at, e);
+        }
+        let decoded = TraceStore::from_bytes(&store.to_bytes()).expect("own export must decode");
+        for s in [&store, &decoded] {
+            let mut next_row = [0usize; EventKind::ALL.len()];
+            for (_, e) in &events {
+                let kind = EventKind::of(e);
+                let row = &mut next_row[kind as usize];
+                // NaN costs defeat `PartialEq`; `Debug` prints them alike.
+                assert_eq!(format!("{:?}", s.table(kind).event(*row)), format!("{e:?}"));
+                *row += 1;
+            }
+        }
+    }
+
+    /// Ids are stored at their field width: a job number past `u32::MAX`
+    /// must not saturate (two such jobs would collide).
+    #[test]
+    fn ids_above_u32_max_survive_the_store() {
+        let job = u64::from(u32::MAX) + 5;
+        let arrived = TraceEvent::JobArrived { job, size_units: 1.0, submitted_tu: 0.0 };
+        let mut store = TraceStore::new();
+        store.ingest(SimTime::new(0.0), &arrived);
+        let decoded = TraceStore::from_bytes(&store.to_bytes()).expect("own export must decode");
+        for s in [&store, &decoded] {
+            let table = s.table(EventKind::JobArrived);
+            assert_eq!(table.column("job").and_then(|c| c.group_key(0)), Some(job));
+            assert_eq!(table.u64s("job"), [job]);
+            assert_eq!(table.event(0), arrived);
+        }
     }
 
     #[test]

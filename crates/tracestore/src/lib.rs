@@ -35,5 +35,5 @@ pub mod store;
 pub use column::{Column, Interner};
 pub use export::{fnv1a64, ExportError, MAGIC, VERSION};
 pub use query::{Filter, Query, QueryError, Row, Scratchpad, VecOp};
-pub use schema::{Agg, ColumnSpec, ColumnType, EventKind, ALL_KINDS};
-pub use store::{tier_label, Table, TraceStore, TraceStoreFactory, UNKNOWN_TIER};
+pub use schema::{column_index, columns, Agg, ColumnSpec, ColumnType, EventKind};
+pub use store::{tier_index, tier_label, Table, TraceStore, TraceStoreFactory, UNKNOWN_TIER};

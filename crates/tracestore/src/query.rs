@@ -37,7 +37,7 @@
 //! ```
 
 use crate::column::Column;
-use crate::schema::{Agg, ColumnType, EventKind};
+use crate::schema::{column_index, columns, Agg, ColumnType, EventKind};
 use crate::store::{Table, TraceStore};
 use std::fmt;
 
@@ -420,7 +420,7 @@ impl Query {
         match name {
             "t" => Ok(Source::Time),
             "tenant" => Ok(Source::Tenant),
-            _ => self.kind.column_index(name).map(Source::Col).ok_or_else(|| {
+            _ => column_index(self.kind, name).map(Source::Col).ok_or_else(|| {
                 QueryError::UnknownColumn { kind: self.kind.tag(), column: name.to_string() }
             }),
         }
@@ -434,7 +434,7 @@ impl Query {
         needed: &'static str,
     ) -> Result<usize, QueryError> {
         match self.resolve(name)? {
-            Source::Col(c) if allowed.contains(&self.kind.columns()[c].ty) => Ok(c),
+            Source::Col(c) if allowed.contains(&columns(self.kind)[c].ty) => Ok(c),
             _ => Err(QueryError::TypeMismatch { column: name.to_string(), needed }),
         }
     }
@@ -490,7 +490,7 @@ impl Query {
             Some(name) => {
                 let source = self.resolve(name)?;
                 if let Source::Col(c) = source {
-                    if self.kind.columns()[c].ty == ColumnType::F64 {
+                    if columns(self.kind)[c].ty == ColumnType::F64 {
                         return Err(QueryError::TypeMismatch {
                             column: name.clone(),
                             needed: "a groupable (integral or dictionary) column",
@@ -547,7 +547,7 @@ impl Query {
 
         let render = match self.group_by.as_deref() {
             None => GroupRender::None,
-            Some(name) => match self.kind.column_index(name).map(|c| &table.columns()[c]) {
+            Some(name) => match column_index(self.kind, name).map(|c| &table.columns()[c]) {
                 Some(col @ Column::Dict { .. }) => GroupRender::Label(col),
                 _ => GroupRender::Number,
             },
@@ -654,7 +654,7 @@ mod tests {
         for (t, depth) in [(0.5, 1u32), (1.5, 3), (2.5, 5), (3.5, 7)] {
             store.ingest(SimTime::new(t), &TraceEvent::QueueDepthSampled { depth });
         }
-        let rows = Query::over(EventKind::QueueDepth)
+        let rows = Query::over(EventKind::QueueDepthSampled)
             .bucket_tu(2.0)
             .aggregate(Agg::Max, "depth")
             .run(&store)
@@ -694,7 +694,7 @@ mod tests {
         other.ingest(SimTime::new(2.0), &TraceEvent::QueueDepthSampled { depth: 1 });
         scan_sim::Merge::merge(&mut store, other);
 
-        let per_tenant = Query::over(EventKind::QueueDepth)
+        let per_tenant = Query::over(EventKind::QueueDepthSampled)
             .group_by("tenant")
             .count()
             .run(&store)
@@ -703,7 +703,7 @@ mod tests {
         assert_eq!((per_tenant[0].group.as_deref(), per_tenant[0].value), (Some("0"), 1.0));
         assert_eq!((per_tenant[1].group.as_deref(), per_tenant[1].value), (Some("1"), 2.0));
 
-        let just_one = Query::over(EventKind::QueueDepth)
+        let just_one = Query::over(EventKind::QueueDepthSampled)
             .tenant(1)
             .aggregate(Agg::P50, "depth")
             .run(&store)
@@ -714,7 +714,8 @@ mod tests {
     #[test]
     fn schema_errors_are_reported() {
         let store = TraceStore::new();
-        let unknown = Query::over(EventKind::QueueDepth).aggregate(Agg::Sum, "no_such").run(&store);
+        let unknown =
+            Query::over(EventKind::QueueDepthSampled).aggregate(Agg::Sum, "no_such").run(&store);
         assert_eq!(
             unknown,
             Err(QueryError::UnknownColumn { kind: "queue_depth", column: "no_such".into() })
@@ -725,10 +726,12 @@ mod tests {
         assert!(matches!(ungroupable, Err(QueryError::TypeMismatch { .. })));
 
         let missing_value =
-            Query::over(EventKind::QueueDepth).group_by("depth").run(&TraceStore::new());
+            Query::over(EventKind::QueueDepthSampled).group_by("depth").run(&TraceStore::new());
         assert!(missing_value.is_ok(), "default aggregation is count");
-        let q =
-            Query { value: None, ..Query::over(EventKind::QueueDepth).aggregate(Agg::Sum, "x") };
+        let q = Query {
+            value: None,
+            ..Query::over(EventKind::QueueDepthSampled).aggregate(Agg::Sum, "x")
+        };
         assert_eq!(q.run(&store), Err(QueryError::MissingValueColumn { agg: "sum" }));
     }
 

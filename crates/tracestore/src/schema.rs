@@ -1,19 +1,27 @@
 //! The store's data model: one column set per trace-event kind.
 //!
-//! Every [`TraceEvent`] variant maps to one [`EventKind`] table, in
-//! [`TraceEvent::SCHEMA`] order: [`EventKind::of`] maps through
-//! [`TraceEvent::index`] and [`EventKind::tag`] reads the schema, so the
-//! kinds are not listed twice. What is declared here is the store's own
-//! storage decisions, in [`EventKind::columns`]: `u32` ids,
-//! dictionary-encoded tiers, the implicit `tenant` column and the derived
-//! dispatch `tier`. Ingest pushes values in declaration order, the query
-//! layer resolves column names against it, the export writes columns in
-//! declaration order, and the root `tests/doc_tables.rs` checks it
-//! against `docs/TRACESTORE.md` in both directions (so a column added or
-//! renamed here without its documentation row fails CI, and vice versa).
+//! Every [`TraceEvent`](scan_sim::TraceEvent) variant maps to one
+//! table, keyed by its [`EventKind`] (declared with the event itself in
+//! `scan_sim`), in [`TraceEvent::SCHEMA`](scan_sim::TraceEvent::SCHEMA)
+//! order. A kind's stored columns are worked out once from its declared
+//! fields, and [`columns`] returns them:
+//!
+//! * a column's type is its field's type (`u32` → U32, `u64` → U64,
+//!   `f64` → F64, a `ScalingChoice` → Dict of its name);
+//! * a `tenant` field is stored in the implicit `tenant` column;
+//! * a `tier` field is dictionary-encoded through
+//!   [`tier_label`](crate::store::tier_label);
+//! * `subtask_dispatched` gets a derived `tier` column appended, the
+//!   dispatching VM's tier from its hire/reshape history.
+//!
+//! Ingest, [`Table::event`](crate::Table::event), the query layer and the
+//! export all read that one layout, and the root `tests/doc_tables.rs`
+//! checks it against `docs/TRACESTORE.md` in both directions (so a field
+//! added or renamed without its documentation row fails CI, and vice
+//! versa).
 //!
 //! Two implicit columns precede every table's declared columns and are
-//! therefore *not* listed in [`EventKind::columns`]:
+//! therefore *not* listed in [`columns`]:
 //!
 //! * `t` — the event's simulation time, stored as the `u64` bit pattern
 //!   of the non-negative `f64` TU value (bit order equals numeric order,
@@ -21,14 +29,16 @@
 //! * `tenant` — the owning tenant's id (0 for single-tenant sessions;
 //!   the event's own `tenant` payload for the admission events).
 
-use scan_sim::TraceEvent;
+pub use scan_sim::EventKind;
+use scan_sim::FieldSchema;
+use std::sync::OnceLock;
 
 /// The physical type of one stored column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColumnType {
-    /// Plain `u32` values (ids, stages, core counts, depths).
+    /// Plain `u32` values (stages, core counts, depths).
     U32,
-    /// Plain `u64` values (large counters).
+    /// Plain `u64` values (job and VM ids, large counters).
     U64,
     /// `f64` values (times in TU, costs in CU, sizes).
     F64,
@@ -37,179 +47,85 @@ pub enum ColumnType {
     Dict,
 }
 
-/// One declared column of an [`EventKind`] table.
+/// One stored column of a kind's table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColumnSpec {
     /// Column name; equals the `TraceEvent` field (and JSONL key) it
-    /// stores, except for derived columns such as `tier` on
-    /// `subtask_dispatched`.
+    /// stores, except for the derived `tier` on `subtask_dispatched`.
     pub name: &'static str,
     /// Physical type of the column.
     pub ty: ColumnType,
 }
 
-/// Declares a `u32` column.
-const fn u32c(name: &'static str) -> ColumnSpec {
-    ColumnSpec { name, ty: ColumnType::U32 }
+/// Where one declared field of an event is stored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Slot {
+    /// The implicit `tenant` column.
+    Tenant,
+    /// Stored column `i` of the kind's table.
+    Column(usize),
 }
 
-/// Declares a `u64` column.
-const fn u64c(name: &'static str) -> ColumnSpec {
-    ColumnSpec { name, ty: ColumnType::U64 }
+/// One kind's storage layout, worked out from its declared fields.
+#[derive(Debug)]
+pub(crate) struct Layout {
+    /// Stored columns, in storage order.
+    pub(crate) columns: Vec<ColumnSpec>,
+    /// Per declared field, in declaration order: where it is stored.
+    pub(crate) slots: Vec<Slot>,
+    /// Position of the `vm` field, if the kind declares one.
+    pub(crate) vm: Option<usize>,
+    /// Position of the `tier` field, if the kind declares one.
+    pub(crate) tier: Option<usize>,
 }
 
-/// Declares an `f64` column.
-const fn f64c(name: &'static str) -> ColumnSpec {
-    ColumnSpec { name, ty: ColumnType::F64 }
-}
-
-/// Declares a dictionary-encoded label column.
-const fn dictc(name: &'static str) -> ColumnSpec {
-    ColumnSpec { name, ty: ColumnType::Dict }
-}
-
-/// One table of the store: the event kinds of
-/// [`TraceEvent`], in declaration order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
-pub enum EventKind {
-    /// `job_arrived` rows.
-    JobArrived,
-    /// `job_stage_advanced` rows.
-    JobStageAdvanced,
-    /// `job_completed` rows.
-    JobCompleted,
-    /// `slo_violation` rows.
-    SloViolation,
-    /// `subtask_dispatched` rows.
-    SubtaskDispatched,
-    /// `subtask_done` rows.
-    SubtaskDone,
-    /// `vm_hired` rows.
-    VmHired,
-    /// `vm_booted` rows.
-    VmBooted,
-    /// `vm_reshaped` rows.
-    VmReshaped,
-    /// `vm_released` rows.
-    VmReleased,
-    /// `scaling_decision` rows.
-    ScalingDecision,
-    /// `queue_depth` rows.
-    QueueDepth,
-    /// `admission_deferred` rows.
-    AdmissionDeferred,
-    /// `admission_resumed` rows.
-    AdmissionResumed,
-    /// `tier_settled` rows.
-    TierSettled,
-    /// `run_ended` rows.
-    RunEnded,
-}
-
-/// Every kind, in table order (the order tables appear in the export):
-/// the declaration order of [`TraceEvent::SCHEMA`], one table per event.
-pub const ALL_KINDS: [EventKind; TraceEvent::SCHEMA.len()] = [
-    EventKind::JobArrived,
-    EventKind::JobStageAdvanced,
-    EventKind::JobCompleted,
-    EventKind::SloViolation,
-    EventKind::SubtaskDispatched,
-    EventKind::SubtaskDone,
-    EventKind::VmHired,
-    EventKind::VmBooted,
-    EventKind::VmReshaped,
-    EventKind::VmReleased,
-    EventKind::ScalingDecision,
-    EventKind::QueueDepth,
-    EventKind::AdmissionDeferred,
-    EventKind::AdmissionResumed,
-    EventKind::TierSettled,
-    EventKind::RunEnded,
-];
-
-impl EventKind {
-    /// The kind an event is stored under.
-    pub fn of(event: &TraceEvent) -> EventKind {
-        ALL_KINDS[event.index()]
-    }
-
-    /// Stable lowercase table tag; equals
-    /// [`TraceEvent::kind`](scan_sim::TraceEvent::kind) for the stored
-    /// variant.
-    pub fn tag(self) -> &'static str {
-        TraceEvent::SCHEMA[self as usize].tag
-    }
-
-    /// The declared columns of this kind's table, in storage order.
-    ///
-    /// Ids (`job`, `vm`) are stored as `u32`: upstream they are arena
-    /// slot indices that the platform itself keeps in `u32`, so the
-    /// narrowing is lossless in practice (values above `u32::MAX`
-    /// saturate). `tier` is dictionary-encoded through
-    /// [`tier_label`](crate::store::tier_label) rather than stored as a
-    /// raw index; `subtask_dispatched.tier` is *derived* at ingest from
-    /// the dispatching VM's hire/reshape history.
-    pub fn columns(self) -> &'static [ColumnSpec] {
-        // One `const` per kind: const-fn calls are not promoted to
-        // `'static` behind a plain `&[...]`, but const items are.
-        const JOB_ARRIVED: &[ColumnSpec] = &[u32c("job"), f64c("size_units"), f64c("submitted_tu")];
-        const SLO_VIOLATION: &[ColumnSpec] = &[u32c("job"), f64c("latency_tu"), f64c("target_tu")];
-        const JOB_STAGE_ADVANCED: &[ColumnSpec] =
-            &[u32c("job"), u32c("stage"), u32c("shards"), u32c("cores")];
-        const JOB_COMPLETED: &[ColumnSpec] =
-            &[u32c("job"), f64c("latency_tu"), f64c("reward"), f64c("core_stages")];
-        const SUBTASK_DISPATCHED: &[ColumnSpec] = &[
-            u32c("job"),
-            u32c("stage"),
-            u32c("vm"),
-            u32c("cores"),
-            f64c("waited_tu"),
-            f64c("busy_tu"),
-            dictc("tier"),
-        ];
-        const SUBTASK_DONE: &[ColumnSpec] = &[u32c("job"), u32c("stage"), u32c("vm")];
-        const VM_HIRED: &[ColumnSpec] = &[u32c("vm"), dictc("tier"), u32c("cores")];
-        const VM_BOOTED: &[ColumnSpec] = &[u32c("vm"), u32c("cores")];
-        const VM_RESHAPED: &[ColumnSpec] =
-            &[u32c("vm"), dictc("tier"), u32c("cores_from"), u32c("cores_to")];
-        const VM_RELEASED: &[ColumnSpec] = &[u32c("vm"), dictc("tier"), u32c("cores")];
-        const SCALING_DECISION: &[ColumnSpec] = &[
-            u32c("stage"),
-            u32c("cores"),
-            u32c("queued_jobs"),
-            f64c("delay_cost"),
-            f64c("hire_cost"),
-            dictc("choice"),
-        ];
-        const QUEUE_DEPTH: &[ColumnSpec] = &[u32c("depth")];
-        const ADMISSION: &[ColumnSpec] = &[u32c("jobs"), u32c("backlog")];
-        const TIER_SETTLED: &[ColumnSpec] = &[dictc("tier"), f64c("cost"), f64c("core_tu")];
-        const RUN_ENDED: &[ColumnSpec] = &[u64c("events_dispatched")];
-        match self {
-            Self::JobArrived => JOB_ARRIVED,
-            Self::JobStageAdvanced => JOB_STAGE_ADVANCED,
-            Self::JobCompleted => JOB_COMPLETED,
-            Self::SloViolation => SLO_VIOLATION,
-            Self::SubtaskDispatched => SUBTASK_DISPATCHED,
-            Self::SubtaskDone => SUBTASK_DONE,
-            Self::VmHired => VM_HIRED,
-            Self::VmBooted => VM_BOOTED,
-            Self::VmReshaped => VM_RESHAPED,
-            Self::VmReleased => VM_RELEASED,
-            Self::ScalingDecision => SCALING_DECISION,
-            Self::QueueDepth => QUEUE_DEPTH,
-            Self::AdmissionDeferred => ADMISSION,
-            Self::AdmissionResumed => ADMISSION,
-            Self::TierSettled => TIER_SETTLED,
-            Self::RunEnded => RUN_ENDED,
+impl Layout {
+    fn of(kind: EventKind) -> Layout {
+        let fields = kind.schema().fields;
+        let mut columns = Vec::with_capacity(fields.len() + 1);
+        let slots = fields
+            .iter()
+            .map(|field| {
+                if field.name == "tenant" {
+                    return Slot::Tenant;
+                }
+                columns.push(ColumnSpec { name: field.name, ty: column_type(field) });
+                Slot::Column(columns.len() - 1)
+            })
+            .collect();
+        if kind == EventKind::SubtaskDispatched {
+            columns.push(ColumnSpec { name: "tier", ty: ColumnType::Dict });
         }
+        let position = |name: &str| fields.iter().position(|f| f.name == name);
+        Layout { columns, slots, vm: position("vm"), tier: position("tier") }
     }
+}
 
-    /// The position of a declared column by name.
-    pub fn column_index(self, name: &str) -> Option<usize> {
-        self.columns().iter().position(|c| c.name == name)
+/// The column type a declared field is stored as.
+fn column_type(field: &FieldSchema) -> ColumnType {
+    match field.ty {
+        _ if field.name == "tier" => ColumnType::Dict,
+        "u32" => ColumnType::U32,
+        "u64" => ColumnType::U64,
+        "f64" => ColumnType::F64,
+        _ => ColumnType::Dict,
     }
+}
+
+/// The layout of `kind`'s table (built once for all kinds).
+pub(crate) fn layout(kind: EventKind) -> &'static Layout {
+    static LAYOUTS: OnceLock<Vec<Layout>> = OnceLock::new();
+    &LAYOUTS.get_or_init(|| EventKind::ALL.into_iter().map(Layout::of).collect())[kind as usize]
+}
+
+/// The stored columns of `kind`'s table, in storage order.
+pub fn columns(kind: EventKind) -> &'static [ColumnSpec] {
+    &layout(kind).columns
+}
+
+/// The position of a stored column of `kind`'s table by name.
+pub fn column_index(kind: EventKind, name: &str) -> Option<usize> {
+    columns(kind).iter().position(|c| c.name == name)
 }
 
 /// The aggregation functions the query layer can apply.
@@ -246,28 +162,33 @@ impl Agg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scan_sim::TraceEvent;
 
     #[test]
-    fn kinds_follow_the_trace_schema() {
-        for (i, (kind, event)) in ALL_KINDS.iter().zip(TraceEvent::SCHEMA).enumerate() {
-            assert_eq!(*kind as usize, i);
-            assert!(event.variant.starts_with(&format!("{kind:?}")), "{kind:?} vs {event:?}");
+    fn columns_follow_the_declared_fields() {
+        for (kind, event) in EventKind::ALL.into_iter().zip(TraceEvent::SCHEMA) {
             // Columns are the event's fields, except the admission events'
             // `tenant` (the implicit column) and the derived dispatch `tier`.
             let fields: Vec<&str> =
                 event.fields.iter().map(|f| f.name).filter(|&f| f != "tenant").collect();
-            let mut columns: Vec<&str> = kind.columns().iter().map(|c| c.name).collect();
-            if *kind == EventKind::SubtaskDispatched {
-                assert_eq!(columns.pop(), Some("tier"));
+            let mut names: Vec<&str> = columns(kind).iter().map(|c| c.name).collect();
+            if kind == EventKind::SubtaskDispatched {
+                assert_eq!(names.pop(), Some("tier"));
             }
-            assert_eq!(columns, fields, "{}", kind.tag());
+            assert_eq!(names, fields, "{}", kind.tag());
         }
+        let ty = |kind, name| columns(kind)[column_index(kind, name).expect("declared")].ty;
+        assert_eq!(ty(EventKind::JobArrived, "job"), ColumnType::U64);
+        assert_eq!(ty(EventKind::VmHired, "tier"), ColumnType::Dict);
+        assert_eq!(ty(EventKind::VmHired, "cores"), ColumnType::U32);
+        assert_eq!(ty(EventKind::ScalingDecision, "choice"), ColumnType::Dict);
+        assert_eq!(ty(EventKind::SubtaskDispatched, "tier"), ColumnType::Dict);
     }
 
     #[test]
     fn column_names_are_unique_per_kind() {
-        for kind in ALL_KINDS {
-            let cols = kind.columns();
+        for kind in EventKind::ALL {
+            let cols = columns(kind);
             for (i, a) in cols.iter().enumerate() {
                 assert_ne!(a.name, "t", "t is implicit");
                 assert_ne!(a.name, "tenant", "tenant is implicit");
@@ -275,8 +196,8 @@ mod tests {
                     assert_ne!(a.name, b.name, "duplicate column in {}", kind.tag());
                 }
             }
-            assert_eq!(kind.column_index(cols[0].name), Some(0));
-            assert_eq!(kind.column_index("no_such_column"), None);
+            assert_eq!(column_index(kind, cols[0].name), Some(0));
+            assert_eq!(column_index(kind, "no_such_column"), None);
         }
     }
 }

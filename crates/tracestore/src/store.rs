@@ -1,11 +1,13 @@
 //! The in-process columnar trace store: an [`Observer`] that turns the
 //! event stream into per-kind typed tables during the run.
 //!
-//! Ingest is a match on the event variant plus a handful of `Vec`
-//! pushes — no strings are formatted and nothing is re-parsed later, in
+//! Ingest is one loop over the event's field values and its kind's
+//! column layout ([`schema`](crate::schema)) — a handful of `Vec`
+//! pushes; no strings are formatted and nothing is re-parsed later, in
 //! contrast to the JSONL sink whose output every consumer had to decode
-//! again. Two enrichments happen at ingest time because they are free
-//! while the stream is live and expensive afterwards:
+//! again. [`Table::event`] reads a row back through the same layout.
+//! Two enrichments happen at ingest time because they are free while
+//! the stream is live and expensive afterwards:
 //!
 //! * **Tier attribution.** The store tracks every VM's current tier from
 //!   its `vm_hired`/`vm_reshaped` history, so `subtask_dispatched` rows
@@ -21,8 +23,8 @@
 //! workspace honours; see `docs/TRACESTORE.md` § Determinism).
 
 use crate::column::Column;
-use crate::schema::{EventKind, ALL_KINDS};
-use scan_sim::{Merge, Observer, ObserverFactory, SimTime, TraceEvent};
+use crate::schema::{column_index, columns, layout, EventKind, Slot};
+use scan_sim::{FieldValue, Merge, Observer, ObserverFactory, ScalingChoice, SimTime, TraceEvent};
 
 /// The label a tier index is stored under: the catalogue order of
 /// `Platform::new` (0 = private, 1 = public); later indices would be
@@ -32,6 +34,18 @@ pub fn tier_label(tier: u32) -> &'static str {
         0 => "private",
         1 => "public",
         _ => "tier2+",
+    }
+}
+
+/// The tier index a stored tier label stands for: the inverse of
+/// [`tier_label`] (2 for every `tier2+` tier), and `u32::MAX` for
+/// [`UNKNOWN_TIER`].
+pub fn tier_index(label: &str) -> u32 {
+    match label {
+        "private" => 0,
+        "public" => 1,
+        UNKNOWN_TIER => u32::MAX,
+        _ => 2,
     }
 }
 
@@ -48,17 +62,17 @@ pub struct Table {
     t_bits: Vec<u64>,
     /// Owning tenant per row.
     tenant: Vec<u32>,
-    /// Declared columns, parallel to [`EventKind::columns`].
+    /// Stored columns, parallel to [`columns`](crate::columns()).
     cols: Vec<Column>,
 }
 
 impl Table {
-    fn new(kind: EventKind) -> Table {
+    pub(crate) fn new(kind: EventKind) -> Table {
         Table {
             kind,
             t_bits: Vec::new(),
             tenant: Vec::new(),
-            cols: kind.columns().iter().map(|spec| Column::new(spec.ty)).collect(),
+            cols: columns(kind).iter().map(|spec| Column::new(spec.ty)).collect(),
         }
     }
 
@@ -92,14 +106,78 @@ impl Table {
         &self.tenant
     }
 
-    /// The declared columns, in [`EventKind::columns`] order.
+    /// The stored columns, in [`columns`](crate::columns()) order.
     pub fn columns(&self) -> &[Column] {
         &self.cols
     }
 
-    /// A declared column by name.
+    /// A stored column by name.
     pub fn column(&self, name: &str) -> Option<&Column> {
-        self.kind.column_index(name).map(|i| &self.cols[i])
+        column_index(self.kind, name).map(|i| &self.cols[i])
+    }
+
+    /// A `u32` column by name; empty if absent or of another type.
+    pub fn u32s(&self, name: &str) -> &[u32] {
+        match self.column(name) {
+            Some(Column::U32(v)) => v,
+            _ => &[],
+        }
+    }
+
+    /// A `u64` column by name; empty if absent or of another type.
+    pub fn u64s(&self, name: &str) -> &[u64] {
+        match self.column(name) {
+            Some(Column::U64(v)) => v,
+            _ => &[],
+        }
+    }
+
+    /// An `f64` column by name; empty if absent or of another type.
+    pub fn f64s(&self, name: &str) -> &[f64] {
+        match self.column(name) {
+            Some(Column::F64(v)) => v,
+            _ => &[],
+        }
+    }
+
+    /// A dictionary column's label per row; empty if absent or not a
+    /// dictionary.
+    pub fn labels(&self, name: &str) -> Vec<&str> {
+        match self.column(name) {
+            Some(Column::Dict { codes, dict }) => codes.iter().map(|&c| dict.label(c)).collect(),
+            _ => Vec::new(),
+        }
+    }
+
+    /// Row `row` rebuilt as the event it was ingested from: each field
+    /// read back from its column (a tier label through [`tier_index`], a
+    /// choice from its name); derived columns are dropped.
+    ///
+    /// # Panics
+    /// Panics if `row` is out of range, or if a label cannot be read back
+    /// as its field (only a hand-made export can hold such a label).
+    pub fn event(&self, row: usize) -> TraceEvent {
+        let slots = &layout(self.kind).slots;
+        let mut values = [FieldValue::U32(0); TraceEvent::MAX_FIELDS];
+        for (value, &slot) in values.iter_mut().zip(slots) {
+            *value = match slot {
+                Slot::Tenant => FieldValue::U32(self.tenant[row]),
+                Slot::Column(c) => match &self.cols[c] {
+                    Column::U32(v) => FieldValue::U32(v[row]),
+                    Column::U64(v) => FieldValue::U64(v[row]),
+                    Column::F64(v) => FieldValue::F64(v[row]),
+                    Column::Dict { codes, dict } => {
+                        let label = dict.label(codes[row]);
+                        match ScalingChoice::from_name(label) {
+                            Some(choice) => FieldValue::Choice(choice),
+                            None => FieldValue::U32(tier_index(label)),
+                        }
+                    }
+                },
+            };
+        }
+        TraceEvent::from_fields(self.kind, &values[..slots.len()])
+            .expect("stored labels fit their fields")
     }
 
     /// Rebuilds a table from decoded parts (export reader). Lengths are
@@ -113,11 +191,6 @@ impl Table {
         Table { kind, t_bits, tenant, cols }
     }
 
-    fn push_meta(&mut self, at: SimTime, tenant: u32) {
-        self.t_bits.push(at.as_tu().to_bits());
-        self.tenant.push(tenant);
-    }
-
     fn append(&mut self, other: &Table) {
         self.t_bits.extend_from_slice(&other.t_bits);
         self.tenant.extend_from_slice(&other.tenant);
@@ -125,12 +198,6 @@ impl Table {
             mine.append(theirs);
         }
     }
-}
-
-/// Saturating id narrowing: upstream ids are `u32` arena slots carried
-/// in `u64` fields, so this is lossless for live streams.
-fn narrow(id: u64) -> u32 {
-    u32::try_from(id).unwrap_or(u32::MAX)
 }
 
 /// The columnar trace store. Build one per session (it is an
@@ -163,7 +230,7 @@ impl TraceStore {
     /// An empty store stamping every row with `tenant` (fleet sessions).
     pub fn for_tenant(tenant: u32) -> TraceStore {
         TraceStore {
-            tables: ALL_KINDS.iter().map(|&k| Table::new(k)).collect(),
+            tables: EventKind::ALL.into_iter().map(Table::new).collect(),
             tenant,
             vm_tier: Vec::new(),
             events: 0,
@@ -175,7 +242,7 @@ impl TraceStore {
         &self.tables[kind as usize]
     }
 
-    /// All tables, in [`ALL_KINDS`] order.
+    /// All tables, in [`EventKind::ALL`] order.
     pub fn tables(&self) -> &[Table] {
         &self.tables
     }
@@ -213,115 +280,38 @@ impl TraceStore {
     /// Ingests one event (the [`Observer`] impl delegates here).
     pub fn ingest(&mut self, at: SimTime, event: &TraceEvent) {
         let kind = EventKind::of(event);
+        let layout = layout(kind);
         self.events += 1;
-        // Tier attribution must be current before the row is written.
-        match *event {
-            TraceEvent::VmHired { vm, tier, .. } | TraceEvent::VmReshaped { vm, tier, .. } => {
-                self.note_tier(vm, tier)
+        event.with_fields(|values| {
+            let table = &mut self.tables[kind as usize];
+            let mut tenant = self.tenant;
+            for (&slot, &value) in layout.slots.iter().zip(values) {
+                match (slot, value) {
+                    (Slot::Column(c), value) => table.cols[c].push(value),
+                    (Slot::Tenant, FieldValue::U32(t)) => tenant = t,
+                    (Slot::Tenant, _) => {}
+                }
             }
-            _ => {}
-        }
-        let tier_attr = match *event {
-            TraceEvent::SubtaskDispatched { vm, .. } => Some(self.tier_of(vm)),
-            _ => None,
-        };
-        let tenant = match *event {
-            TraceEvent::AdmissionDeferred { tenant, .. }
-            | TraceEvent::AdmissionResumed { tenant, .. } => tenant,
-            _ => self.tenant,
-        };
-        let table = &mut self.tables[kind as usize];
-        table.push_meta(at, tenant);
-        let cols = &mut table.cols;
-        match *event {
-            TraceEvent::JobArrived { job, size_units, submitted_tu } => {
-                cols[0].push_u32(narrow(job));
-                cols[1].push_f64(size_units);
-                cols[2].push_f64(submitted_tu);
+            table.t_bits.push(at.as_tu().to_bits());
+            table.tenant.push(tenant);
+            // Tier attribution: hires and reshapes set the VM's tier, and
+            // a dispatch row gets its VM's tier as the derived last column.
+            let field = |at: Option<usize>| at.map(|i| values[i]);
+            match (kind, field(layout.vm), field(layout.tier)) {
+                (
+                    EventKind::VmHired | EventKind::VmReshaped,
+                    Some(FieldValue::U64(vm)),
+                    Some(FieldValue::U32(tier)),
+                ) => self.note_tier(vm, tier),
+                (EventKind::SubtaskDispatched, Some(FieldValue::U64(vm)), _) => {
+                    let label = self.tier_of(vm);
+                    if let Some(col) = self.tables[kind as usize].cols.last_mut() {
+                        col.push_label(label);
+                    }
+                }
+                _ => {}
             }
-            TraceEvent::JobStageAdvanced { job, stage, shards, cores } => {
-                cols[0].push_u32(narrow(job));
-                cols[1].push_u32(stage);
-                cols[2].push_u32(shards);
-                cols[3].push_u32(cores);
-            }
-            TraceEvent::JobCompleted { job, latency_tu, reward, core_stages } => {
-                cols[0].push_u32(narrow(job));
-                cols[1].push_f64(latency_tu);
-                cols[2].push_f64(reward);
-                cols[3].push_f64(core_stages);
-            }
-            TraceEvent::SloViolation { job, latency_tu, target_tu } => {
-                cols[0].push_u32(narrow(job));
-                cols[1].push_f64(latency_tu);
-                cols[2].push_f64(target_tu);
-            }
-            TraceEvent::SubtaskDispatched { job, stage, vm, cores, waited_tu, busy_tu } => {
-                cols[0].push_u32(narrow(job));
-                cols[1].push_u32(stage);
-                cols[2].push_u32(narrow(vm));
-                cols[3].push_u32(cores);
-                cols[4].push_f64(waited_tu);
-                cols[5].push_f64(busy_tu);
-                cols[6].push_label(tier_attr.unwrap_or(UNKNOWN_TIER));
-            }
-            TraceEvent::SubtaskDone { job, stage, vm } => {
-                cols[0].push_u32(narrow(job));
-                cols[1].push_u32(stage);
-                cols[2].push_u32(narrow(vm));
-            }
-            TraceEvent::VmHired { vm, tier, cores } => {
-                cols[0].push_u32(narrow(vm));
-                cols[1].push_label(tier_label(tier));
-                cols[2].push_u32(cores);
-            }
-            TraceEvent::VmBooted { vm, cores } => {
-                cols[0].push_u32(narrow(vm));
-                cols[1].push_u32(cores);
-            }
-            TraceEvent::VmReshaped { vm, tier, cores_from, cores_to } => {
-                cols[0].push_u32(narrow(vm));
-                cols[1].push_label(tier_label(tier));
-                cols[2].push_u32(cores_from);
-                cols[3].push_u32(cores_to);
-            }
-            TraceEvent::VmReleased { vm, tier, cores } => {
-                cols[0].push_u32(narrow(vm));
-                cols[1].push_label(tier_label(tier));
-                cols[2].push_u32(cores);
-            }
-            TraceEvent::ScalingDecision {
-                stage,
-                cores,
-                queued_jobs,
-                delay_cost,
-                hire_cost,
-                choice,
-            } => {
-                cols[0].push_u32(stage);
-                cols[1].push_u32(cores);
-                cols[2].push_u32(queued_jobs);
-                cols[3].push_f64(delay_cost);
-                cols[4].push_f64(hire_cost);
-                cols[5].push_label(choice.name());
-            }
-            TraceEvent::QueueDepthSampled { depth } => {
-                cols[0].push_u32(depth);
-            }
-            TraceEvent::AdmissionDeferred { jobs, backlog, .. }
-            | TraceEvent::AdmissionResumed { jobs, backlog, .. } => {
-                cols[0].push_u32(jobs);
-                cols[1].push_u32(backlog);
-            }
-            TraceEvent::TierSettled { tier, cost, core_tu } => {
-                cols[0].push_label(tier_label(tier));
-                cols[1].push_f64(cost);
-                cols[2].push_f64(core_tu);
-            }
-            TraceEvent::RunEnded { events_dispatched } => {
-                cols[0].push_u64(events_dispatched);
-            }
-        }
+        });
     }
 
     /// Sanity check used by tests and debug assertions: every table's
@@ -406,10 +396,11 @@ mod tests {
         store.ingest(t(2.0), &TraceEvent::QueueDepthSampled { depth: 9 });
         store.ingest(t(2.0), &TraceEvent::QueueDepthSampled { depth: 7 });
         assert_eq!(store.table(EventKind::JobArrived).rows(), 1);
-        assert_eq!(store.table(EventKind::QueueDepth).rows(), 2);
+        assert_eq!(store.table(EventKind::QueueDepthSampled).rows(), 2);
         assert_eq!(store.events(), 3);
         assert!(store.check_invariants());
-        let depth = store.table(EventKind::QueueDepth).column("depth").expect("declared column");
+        let depth =
+            store.table(EventKind::QueueDepthSampled).column("depth").expect("declared column");
         assert_eq!(depth.value_f64(1), 7.0);
     }
 
@@ -472,7 +463,7 @@ mod tests {
         store.ingest(t(1.0), &TraceEvent::AdmissionDeferred { tenant: 3, jobs: 2, backlog: 2 });
         store.ingest(t(2.0), &TraceEvent::QueueDepthSampled { depth: 1 });
         assert_eq!(store.table(EventKind::AdmissionDeferred).tenant(), [3]);
-        assert_eq!(store.table(EventKind::QueueDepth).tenant(), [7]);
+        assert_eq!(store.table(EventKind::QueueDepthSampled).tenant(), [7]);
     }
 
     #[test]
@@ -505,6 +496,28 @@ mod tests {
             }
             _ => unreachable!("tier is declared as a dict column"),
         }
+    }
+
+    #[test]
+    fn tier_labels_round_trip() {
+        for tier in [0, 1, 2] {
+            assert_eq!(tier_index(tier_label(tier)), tier);
+        }
+        assert_eq!(tier_index(tier_label(7)), 2);
+        assert_eq!(tier_index(UNKNOWN_TIER), u32::MAX);
+    }
+
+    #[test]
+    fn table_getters_are_typed() {
+        let mut store = TraceStore::new();
+        store.ingest(t(0.5), &TraceEvent::VmHired { vm: 4, tier: 1, cores: 8 });
+        let hired = store.table(EventKind::VmHired);
+        assert_eq!(hired.u64s("vm"), [4]);
+        assert_eq!(hired.u32s("cores"), [8]);
+        assert_eq!(hired.labels("tier"), ["public"]);
+        // Absent or differently typed columns read as empty.
+        assert!(hired.u32s("vm").is_empty() && hired.f64s("cores").is_empty());
+        assert!(hired.labels("cores").is_empty() && hired.u64s("nope").is_empty());
     }
 
     #[test]

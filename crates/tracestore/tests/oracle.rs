@@ -109,7 +109,7 @@ proptest! {
         let (store, oracle) = build(&steps);
         let (lo, span) = window;
         let hi = lo + span;
-        for kind in [EventKind::QueueDepth, EventKind::SubtaskDispatched, EventKind::VmHired] {
+        for kind in [EventKind::QueueDepthSampled, EventKind::SubtaskDispatched, EventKind::VmHired] {
             let rows = Query::over(kind)
                 .between_tu(lo, hi)
                 .count()
@@ -207,14 +207,14 @@ proptest! {
                 _ => None,
             })
             .collect();
-        let rows = Query::over(EventKind::QueueDepth)
+        let rows = Query::over(EventKind::QueueDepthSampled)
             .filter(Filter::RangeF64 { column: "depth".into(), lo: 0.0, hi: f64::from(depth_cap) })
             .aggregate(Agg::Max, "depth")
             .run(&store);
         // depth is u32, not f64 — RangeF64 must be rejected, not coerced.
         prop_assert!(rows.is_err());
 
-        let rows = Query::over(EventKind::QueueDepth)
+        let rows = Query::over(EventKind::QueueDepthSampled)
             .aggregate(Agg::Max, "depth")
             .run(&store)
             .unwrap();

@@ -71,9 +71,10 @@ cargo test -q --workspace
 echo "==> cargo bench --no-run (bench smoke: harnesses must compile)"
 cargo bench --workspace --no-run --quiet
 
-echo "==> metrics determinism (metrics leave the session unchanged; registries merge every metric type)"
+echo "==> metrics determinism (metrics leave the session unchanged; registries merge every metric type; pinned registry exports)"
 filtered_test -p scan-platform session::tests::metrics_do_not_perturb_the_session
 filtered_test -p scan-metrics merge_folds_all_metric_types
+filtered_test -p scan-platform golden_fixed_seed_registry_exports
 
 echo "==> KB determinism (golden learned model + adaptive session, table fits == triple-view refit)"
 filtered_test -p scan-platform golden_learned_model_bits
@@ -84,7 +85,10 @@ echo "==> span conservation (medium fig4 cell: segments sum bit-exactly to laten
 filtered_test -p scan-spans --test conservation
 
 if [[ "$quick" != "quick" ]]; then
-    echo "==> store determinism (two fixed-seed runs, identical SCTS digest)"
+    echo "==> store determinism (every table's SCTS layout pinned; two fixed-seed runs, identical SCTS digest)"
+    # One row of every event kind against a pinned digest: the layout
+    # gate for the tables a fig4 run never fills.
+    filtered_test -p scan-tracestore every_table_scts_bytes_are_pinned
     # The columnar store's 8-byte digest replaces the old multi-megabyte
     # JSONL double-run compare as the fixed-seed determinism gate; the
     # byte-level cmp backstops the digest against collisions.

@@ -120,9 +120,10 @@ def fmt(v):
 
 SCTS_MAGIC = b"SCTS"
 SCTS_VERSION = 2
-# Declared columns per table, in table order. Mirrors EventKind::columns
-# in crates/tracestore/src/schema.rs (which tests/doc_tables.rs pins
-# against docs/TRACESTORE.md): SCTS v2 stores no column names, so the
+# Declared columns per table, in table order. Mirrors
+# scan_tracestore::columns(kind) in crates/tracestore/src/schema.rs
+# (which tests/doc_tables.rs pins against docs/TRACESTORE.md; ids are
+# u64 there, the same varints): SCTS v2 stores no column names, so the
 # reader must know them. u = varint int, f = raw f64 LE,
 # d = dictionary-encoded label.
 SCTS_SCHEMA = [

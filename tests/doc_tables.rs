@@ -6,7 +6,7 @@
 //!   and type) equal the declared fields, and every `ScalingChoice`
 //!   label mentioned;
 //! * docs/TRACESTORE.md — the "Column layouts" tables equal
-//!   `EventKind::columns()` (name and type), and the "Aggregations"
+//!   `tracestore::columns(kind)` (name and type), and the "Aggregations"
 //!   table lists the `Agg` labels;
 //! * docs/SPANS.md — the "Segment taxonomy" table lists the
 //!   `ALL_SEGMENTS` names, and the "SLO metrics" table lists the `slo`
@@ -19,7 +19,7 @@ use scan::platform::fleet::{run_fleet_with, FleetConfig};
 use scan::platform::Platform;
 use scan::sched::scaling::ScalingPolicy;
 use scan::sim::{NullObserverFactory, ScalingChoice, TraceEvent};
-use scan::tracestore::{Agg, ColumnType, ALL_KINDS};
+use scan::tracestore::{columns, Agg, ColumnType, EventKind};
 use scan_metrics::Metrics;
 use scan_spans::ALL_SEGMENTS;
 use std::collections::BTreeSet;
@@ -189,11 +189,11 @@ fn check_tracestore(text: &str) -> Vec<String> {
     const FILE: &str = "docs/TRACESTORE.md";
     const PARENT: &str = "Column layouts";
     let (all, mut errors) = (sections(text), Vec::new());
-    let titles: Vec<String> = ALL_KINDS.iter().map(|k| format!("`{}`", k.tag())).collect();
-    for (kind, title) in ALL_KINDS.iter().zip(&titles) {
+    let titles: Vec<String> = EventKind::ALL.iter().map(|k| format!("`{}`", k.tag())).collect();
+    for (&kind, title) in EventKind::ALL.iter().zip(&titles) {
         if let Some(section) = find(FILE, &all, PARENT, title, &mut errors) {
             let cols: Vec<Vec<&str>> =
-                kind.columns().iter().map(|c| vec![c.name, column_type(c.ty)]).collect();
+                columns(kind).iter().map(|c| vec![c.name, column_type(c.ty)]).collect();
             compare(FILE, section, &cols, &mut errors);
         }
     }
