@@ -5,8 +5,8 @@
 //! (knowledge-base bootstrap included; at scale that is the dominant
 //! cost) plus the single tenant-tagged event loop to drain. Throughput
 //! is `Throughput::Elements(jobs)`, so the printed `elem/s` is
-//! **jobs/sec**, the number `scripts/bench.sh` ledgers per scale in
-//! `BENCH_PR*.json`.
+//! **jobs/sec**. The benchmark that compares commits is `perfbench`
+//! (workload `fleet-tenants`, see `perfbench/README.md`).
 //!
 //! Sample counts are deliberately tiny: the 10k-tenant fleet takes
 //! minutes per iteration, and fleet runs are deterministic, so extra

@@ -1,7 +1,7 @@
 //! Analyzer runtime: how long `scan-lint` takes over the whole
 //! workspace. The gate budget is "well under a second" so the lint step
-//! stays in `ci.sh quick`; the ledger entry (BENCH_PR5.json) records the
-//! actual cost of a full load+scan and of the rule pass alone.
+//! stays in `ci.sh quick`; this bench times a full load+scan and the
+//! rule pass alone.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use scan_lint::Workspace;

@@ -5,9 +5,9 @@
 //! three arrival rates, plus one replicated sweep cell through the rayon
 //! fan-out. The paper's evaluation is a 10-repetition fixed-seed sweep
 //! over 1 056 cells, so sessions/second is exactly the number that bounds
-//! how much of that grid we can afford to run; `scripts/bench.sh` records
-//! these medians in `BENCH_PR*.json` so later PRs regress-gate against
-//! the trajectory.
+//! how much of that grid we can afford to run. The benchmark that
+//! compares commits is `perfbench` (workloads `solo-busy` and
+//! `fig4-sweep`, see `perfbench/README.md`).
 //!
 //! Each full-session bench reports `Throughput::Elements(events)` where
 //! `events` is the session's dispatched-event count (measured once in

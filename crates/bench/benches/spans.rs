@@ -1,8 +1,7 @@
 //! Span-derivation economics: what the causal-span observer adds to the
 //! instrumented ingest path, and what the downstream consumers cost.
 //!
-//! Acceptance criterion (ISSUE 9, ledgered into BENCH_PR9.json by
-//! `scripts/bench.sh`): `session_recorder` (a full traced session —
+//! Target: `session_recorder` (a full traced session —
 //! store + incremental span stitching) within 5% of `session_store`
 //! (the same session with the store alone). The observer earns that by
 //! ignoring the high-volume kinds (`subtask_done`, `queue_depth`,

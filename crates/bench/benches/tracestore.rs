@@ -2,10 +2,11 @@
 //! JSONL sink it replaces, query latency over a populated store, and the
 //! on-disk footprint of the SCTS export against the equivalent JSONL.
 //!
-//! Acceptance criteria (ISSUE 7, ledgered into BENCH_PR7.json by
-//! `scripts/bench.sh`): ingest ≤ 2× the JSONL sink per event, export
-//! ≥ 5× smaller on disk. The byte counts are printed to stderr here and
-//! measured on real fig4 artefacts by the bench script's size step.
+//! Targets: ingest ≤ 2× the JSONL sink per event, export ≥ 5× smaller
+//! on disk. The byte counts are printed to stderr here; the end-to-end
+//! store costs of a recorded session (`tracestore.ingest_ns_per_event`,
+//! `tracestore.export_bytes`) are measured by `perfbench` (workload
+//! `explain-session`, see `perfbench/README.md`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use scan_platform::config::{ScanConfig, VariableParams};
@@ -76,8 +77,8 @@ fn bench_ingest(c: &mut Criterion) {
 
     group.finish();
 
-    // Footprint report (informational; the ledgered measurement runs on
-    // the full fig4 artefacts in scripts/bench.sh).
+    // Footprint report (informational; perfbench's `explain-session`
+    // measures the export of a full recorded session).
     let store = store_of(&stream);
     let mut jsonl = JsonlWriter::new(Vec::<u8>::with_capacity(1 << 20));
     for (at, event) in &stream {

@@ -213,7 +213,7 @@ impl FleetMetrics {
                 "fleet_spend_cu",
                 "tenant",
                 &tenant,
-                "CU",
+                "cu",
                 "Total infrastructure spend of one fleet tenant",
             );
             r.gauge_set(spend, m.total_cost);

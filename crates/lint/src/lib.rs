@@ -1,9 +1,9 @@
-//! `scan-lint`: the workspace's determinism-and-consistency analyzer.
+//! `scan-lint`: the workspace's determinism-and-invariant analyzer.
 //!
 //! A source-level static analyzer purpose-built for this repository. It
 //! lexes every workspace crate with its own lightweight Rust tokenizer
 //! (no external parser — the workspace builds fully offline) and
-//! enforces four families of project invariants that `rustc` and
+//! enforces three families of project invariants that `rustc` and
 //! `clippy` cannot express:
 //!
 //! 1. **Determinism** — sim-facing library code must not use
@@ -12,18 +12,18 @@
 //!    byte-identical run to run (see `docs/LINTS.md`).
 //! 2. **Hygiene** — panic discipline in library code, doc comments on
 //!    every `pub` item, no orphaned TODOs.
-//! 3. **Doc–code consistency** — `docs/METRICS.md` must match the
-//!    registered metric families, in both directions. (The trace, store
-//!    and span documents are checked against runtime values by the root
-//!    `tests/doc_tables.rs`.)
-//! 4. **Semantic (interprocedural)** — on top of the lexer sits an item
+//! 3. **Semantic (interprocedural)** — on top of the lexer sits an item
 //!    parser ([`parse`]), a workspace symbol table ([`model`]) and a
 //!    name-resolution-approximate call graph ([`graph`]); three passes
 //!    walk it: nondeterminism *taint* flowing from any crate into
 //!    sim-facing code, *panic reachability* from the platform's event
-//!    loop and observer hot paths, and *dead telemetry* (trace variants,
-//!    metric handles and observers that can never produce data). Their
-//!    diagnostics carry the full call chain (`--explain-chain`).
+//!    loop and observer hot paths, and *dead telemetry* (`Observer` +
+//!    `Merge` types no `ObserverFactory` can build). Their diagnostics
+//!    carry the full call chain (`--explain-chain`).
+//!
+//! Checks that the reference documents match the code, and that every
+//! declared trace event and registered metric is produced, are runtime
+//! tests in the root `tests/doc_tables.rs`, not token rules.
 //!
 //! Findings can be silenced inline with
 //! `// scan-lint: allow(<rule>) -- <reason>`; the reason is mandatory

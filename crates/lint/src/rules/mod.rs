@@ -1,5 +1,4 @@
-//! The rule set: per-file token rules (determinism + hygiene), the
-//! workspace-level `metrics-doc-drift` rule in [`consistency`] and the
+//! The rule set: per-file token rules (determinism + hygiene) and the
 //! interprocedural passes in [`semantic`].
 //!
 //! Every rule has a stable kebab-case id, a severity, and a one-line
@@ -8,7 +7,6 @@
 //! telling them the file's target class and whether its crate is
 //! sim-facing; each rule decides its own scope from that.
 
-pub mod consistency;
 mod determinism;
 mod hygiene;
 pub mod semantic;
@@ -83,12 +81,6 @@ pub const RULES: &[RuleInfo] = &[
         summary: "TODO/FIXME comments must reference an issue (`#123`) or a URL",
     },
     RuleInfo {
-        id: "metrics-doc-drift",
-        severity: Severity::Error,
-        summary: "docs/METRICS.md must list exactly the metric families registered in library \
-                  code, in both directions",
-    },
-    RuleInfo {
         id: "taint-nondet",
         severity: Severity::Error,
         summary: "no call path from sim-facing library code into a function that (transitively) \
@@ -104,9 +96,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "dead-telemetry",
         severity: Severity::Error,
-        summary: "every TraceEvent variant is constructed outside tests, every registered metric \
-                  handle reaches an update call, every Observer+Merge type is buildable by an \
-                  ObserverFactory",
+        summary: "every Observer+Merge type is buildable by an ObserverFactory impl",
     },
     RuleInfo {
         id: "bad-allow",
@@ -169,8 +159,8 @@ pub fn check_file_raw(file: &SourceFile, ctx: RuleCtx<'_>) -> Vec<Diagnostic> {
 }
 
 /// Runs every per-file rule on one file, then applies the file's allow
-/// directives. Returned diagnostics are final for this file (modulo the
-/// workspace-level consistency rules, which report on other files).
+/// directives. Returned diagnostics are final for this file (the
+/// semantic passes report cross-file findings separately).
 pub fn check_file(file: &SourceFile, ctx: RuleCtx<'_>) -> Vec<Diagnostic> {
     let mut diags = check_file_raw(file, ctx);
     crate::diag::apply_allows(file, &mut diags, is_known_rule);

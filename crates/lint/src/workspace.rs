@@ -10,7 +10,7 @@
 use crate::diag::{Allows, Diagnostic};
 use crate::graph;
 use crate::model::SemanticModel;
-use crate::rules::{self, consistency, semantic, RuleCtx};
+use crate::rules::{self, semantic, RuleCtx};
 use crate::source::{FileClass, SourceFile};
 use std::fs;
 use std::io;
@@ -53,15 +53,12 @@ impl WorkspaceFile {
     }
 }
 
-/// The loaded workspace: every in-scope source file plus the metrics
-/// reference document.
+/// The loaded workspace: every in-scope source file.
 pub struct Workspace {
     /// Workspace root directory.
     pub root: PathBuf,
     /// All discovered files, sorted by path.
     pub files: Vec<WorkspaceFile>,
-    /// `docs/METRICS.md` content, if present.
-    pub metrics_doc: Option<String>,
 }
 
 /// Outcome of a full run.
@@ -97,19 +94,14 @@ impl Workspace {
         }
 
         files.sort_by(|a, b| a.file.path.cmp(&b.file.path));
-        Ok(Workspace {
-            root: root.to_path_buf(),
-            files,
-            metrics_doc: fs::read_to_string(root.join("docs/METRICS.md")).ok(),
-        })
+        Ok(Workspace { root: root.to_path_buf(), files })
     }
 
     /// Runs every rule over the loaded workspace: the per-file token
-    /// rules, the metrics doc–code consistency rule and the semantic passes,
-    /// with allow directives applied once, globally, at the end — a
-    /// directive can excuse a per-file finding, a cross-file semantic
-    /// finding, or act as a mid-analysis taint sink, all from one
-    /// used-tracking ledger.
+    /// rules and the semantic passes, with allow directives applied
+    /// once, globally, at the end — a directive can excuse a per-file
+    /// finding, a cross-file semantic finding, or act as a mid-analysis
+    /// taint sink, all from one used-tracking ledger.
     pub fn run(&self) -> RunResult {
         let mut diagnostics = Vec::new();
         let mut allows =
@@ -117,7 +109,6 @@ impl Workspace {
         for wf in &self.files {
             diagnostics.extend(rules::check_file_raw(&wf.file, wf.ctx()));
         }
-        diagnostics.extend(self.check_metrics_doc());
         let model = SemanticModel::build(self);
         let call_graph = graph::build(&model);
         semantic::check(&model, &call_graph, &mut allows, &mut diagnostics);
@@ -148,30 +139,6 @@ impl Workspace {
             (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule))
         });
         RunResult { diagnostics, files_scanned: self.files.len() }
-    }
-
-    /// `metrics-doc-drift`: docs/METRICS.md against the registered
-    /// metric families.
-    fn check_metrics_doc(&self) -> Vec<Diagnostic> {
-        let Some(doc) = &self.metrics_doc else {
-            return vec![Diagnostic {
-                rule: "metrics-doc-drift",
-                severity: crate::diag::Severity::Error,
-                path: PathBuf::from("docs/METRICS.md"),
-                line: 1,
-                col: 1,
-                message: "reference file is missing; consistency cannot be checked".to_string(),
-                chain: Vec::new(),
-            }];
-        };
-        let lib_files: Vec<&SourceFile> = self
-            .files
-            .iter()
-            .filter(|wf| wf.class == FileClass::Library)
-            .map(|wf| &wf.file)
-            .collect();
-        let registered = consistency::collect_registered_metrics(&lib_files);
-        consistency::check_metrics_doc(Path::new("docs/METRICS.md"), doc, &registered)
     }
 }
 

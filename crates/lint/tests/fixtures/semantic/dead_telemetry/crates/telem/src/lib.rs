@@ -1,32 +1,5 @@
-//! Fixture telemetry crate: one live and one dead metric handle, one
-//! factory-buildable observer and one no factory can produce.
-
-/// The fixture metric registry.
-pub struct Reg {
-    n: u32,
-}
-
-impl Reg {
-    /// Registers a counter and returns its handle.
-    pub fn counter(&mut self, name: &str) -> u32 {
-        let _ = name;
-        self.n += 1;
-        self.n
-    }
-
-    /// Adds to a counter by handle.
-    pub fn counter_add(&mut self, id: u32, n: u64) {
-        let _ = (id, n);
-    }
-}
-
-/// Wires the fixture metrics: `live_total` reaches an update,
-/// `dead_total` never does.
-pub fn wire(reg: &mut Reg) {
-    let live = reg.counter("live_total");
-    let dead = reg.counter("dead_total");
-    reg.counter_add(live, 1);
-}
+//! Fixture telemetry crate: one factory-buildable observer and one no
+//! factory can produce.
 
 /// Buildable observer: the factory below names it.
 pub struct Live;

@@ -11,8 +11,8 @@
 //! BLESS=1 cargo test -p scan-lint --test semantic_fixtures
 //! ```
 //!
-//! The drift tests then mutate a fixture workspace in memory (delete an
-//! emission site, add a tainted helper) and assert the pass *fires*,
+//! The drift tests then mutate a fixture workspace in memory (drop an
+//! observer factory, add a tainted helper) and assert the pass *fires*,
 //! guarding against silently-vacuous analyses.
 
 use scan_lint::source::SourceFile;
@@ -107,21 +107,21 @@ fn patch(ws: &mut Workspace, suffix: &str, edit: impl Fn(&str) -> String) {
     wf.file = SourceFile::new(wf.file.path.clone(), patched);
 }
 
-/// Synthetic drift: deleting the one emission site of a live trace
-/// variant must surface it as dead telemetry.
+/// Synthetic drift: a factory that stops building the live observer
+/// must surface it as dead telemetry.
 #[test]
-fn deleting_an_emission_site_fires_dead_telemetry() {
+fn dropping_a_factory_fires_dead_telemetry() {
     let mut ws = Workspace::load(&semantic_dir().join("dead_telemetry")).unwrap();
-    patch(&mut ws, "crates/sim/src/lib.rs", |text| {
-        text.replace("TraceEvent::JobSeen { job: 1 }", "todo!(\"drifted away\")")
+    patch(&mut ws, "crates/telem/src/lib.rs", |text| {
+        text.replace("fn build(&self) -> Live {\n        Live\n    }", "fn build(&self) {}")
     });
     let result = ws.run_semantic();
     assert!(
         result
             .diagnostics
             .iter()
-            .any(|d| d.rule == "dead-telemetry" && d.message.contains("JobSeen")),
-        "JobSeen lost its emission site and must be flagged: {:?}",
+            .any(|d| d.rule == "dead-telemetry" && d.message.contains("`Live`")),
+        "Live lost its factory and must be flagged: {:?}",
         result.diagnostics
     );
 }

@@ -160,7 +160,7 @@ mod tests {
     use super::*;
     use crate::span::{JobSpans, Segment};
 
-    fn one_job(tenant: u32, job: u32, segs: &[(SegmentKind, u32, f64, f64)]) -> JobSpans {
+    fn one_job(tenant: u32, job: u64, segs: &[(SegmentKind, u32, f64, f64)]) -> JobSpans {
         let segments: Vec<Segment> = segs
             .iter()
             .map(|&(kind, tier, start_tu, end_tu)| Segment { kind, tier, start_tu, end_tu })

@@ -120,16 +120,49 @@ mod tests {
                 },
             ),
         ];
-        let mut store = TraceStore::new();
-        let mut obs = SpanObserver::new();
-        for (t, e) in &events {
-            store.ingest(SimTime::new(*t), e);
-            obs.on_event(SimTime::new(*t), e);
-        }
-        let incremental = obs.into_spans();
-        let batch = derive(&store);
+        let (incremental, batch) = both_paths(&events);
         assert_eq!(batch, incremental);
         assert_eq!(batch.jobs.len(), 1);
         assert!(batch.jobs[0].conservation_ok(), "{:#?}", batch.jobs[0]);
+    }
+
+    /// Feeds `events` to a live observer and to a store, returning the
+    /// incremental and the batch span sets.
+    fn both_paths(events: &[(f64, TraceEvent)]) -> (SpanSet, SpanSet) {
+        let mut store = TraceStore::new();
+        let mut obs = SpanObserver::new();
+        for (t, e) in events {
+            store.ingest(SimTime::new(*t), e);
+            obs.on_event(SimTime::new(*t), e);
+        }
+        (obs.into_spans(), derive(&store))
+    }
+
+    /// A job id past `u32::MAX` keeps its value on both paths.
+    #[test]
+    fn job_ids_past_u32_survive_observer_and_derive() {
+        let job = u64::from(u32::MAX) + 5;
+        let events = [
+            (1.0, TraceEvent::JobArrived { job, size_units: 4.0, submitted_tu: 1.0 }),
+            (1.0, TraceEvent::JobStageAdvanced { job, stage: 0, shards: 1, cores: 1 }),
+            (
+                1.5,
+                TraceEvent::SubtaskDispatched {
+                    job,
+                    stage: 0,
+                    vm: 0,
+                    cores: 1,
+                    waited_tu: 0.5,
+                    busy_tu: 2.0,
+                },
+            ),
+            (3.5, TraceEvent::JobCompleted { job, latency_tu: 2.5, reward: 1.0, core_stages: 1.0 }),
+        ];
+        let (incremental, batch) = both_paths(&events);
+        assert_eq!(batch, incremental);
+        assert_eq!(incremental.in_flight, 0);
+        assert_eq!(incremental.jobs.len(), 1);
+        assert_eq!(incremental.jobs[0].job, job);
+        assert!(incremental.jobs[0].conservation_ok(), "{:#?}", incremental.jobs[0]);
     }
 }

@@ -14,6 +14,7 @@ use crate::schema::SegmentKind;
 use crate::span::{JobSpans, Segment, SpanSet, NO_TIER};
 use scan_sim::{Merge, Observer, ObserverFactory, SimTime, TraceEvent};
 use scan_tracestore::TraceStore;
+use std::collections::BTreeMap;
 
 /// A worker's current tier and most recent boot (hire or reshape) window.
 #[derive(Debug, Clone, Copy)]
@@ -66,7 +67,9 @@ struct JobRec {
 pub struct SpanObserver {
     tenant: u32,
     vms: Vec<Option<VmRec>>,
-    jobs: Vec<Option<JobRec>>,
+    /// In-flight jobs by id: a map, not a dense vector, so a stream with
+    /// large or sparse job ids costs memory per job, not per id.
+    jobs: BTreeMap<u64, JobRec>,
     out: SpanSet,
 }
 
@@ -84,7 +87,7 @@ impl SpanObserver {
 
     /// An observer stamping every derived job with `tenant`.
     pub fn for_tenant(tenant: u32) -> SpanObserver {
-        SpanObserver { tenant, vms: Vec::new(), jobs: Vec::new(), out: SpanSet::default() }
+        SpanObserver { tenant, vms: Vec::new(), jobs: BTreeMap::new(), out: SpanSet::default() }
     }
 
     /// Completed jobs so far.
@@ -95,7 +98,7 @@ impl SpanObserver {
     /// Finishes the observer: jobs still in flight are counted, the
     /// completed jobs' spans are returned.
     pub fn into_spans(mut self) -> SpanSet {
-        self.out.in_flight += self.jobs.iter().filter(|j| j.is_some()).count() as u64;
+        self.out.in_flight += self.jobs.len() as u64;
         self.out
     }
 
@@ -125,16 +128,12 @@ impl SpanObserver {
     }
 
     fn on_job_arrived(&mut self, at: f64, job: u64, submitted_tu: f64) {
-        let idx = job as usize;
-        if idx >= self.jobs.len() {
-            self.jobs.resize(idx + 1, None);
-        }
-        self.jobs[idx] =
-            Some(JobRec { submitted_tu, arrived_t: at, stages: Vec::with_capacity(7) });
+        self.jobs
+            .insert(job, JobRec { submitted_tu, arrived_t: at, stages: Vec::with_capacity(7) });
     }
 
     fn on_stage_advanced(&mut self, at: f64, job: u64) {
-        if let Some(Some(rec)) = self.jobs.get_mut(job as usize) {
+        if let Some(rec) = self.jobs.get_mut(&job) {
             rec.stages.push(StageRec { enq_t: at, anchor: None });
         }
     }
@@ -148,7 +147,7 @@ impl SpanObserver {
             Some(rec) => (rec.tier, None),
             None => (NO_TIER, None),
         };
-        let Some(Some(rec)) = self.jobs.get_mut(job as usize) else {
+        let Some(rec) = self.jobs.get_mut(&job) else {
             return;
         };
         let Some(srec) = rec.stages.get_mut(stage as usize) else {
@@ -166,13 +165,10 @@ impl SpanObserver {
     }
 
     fn on_completed(&mut self, at: f64, job: u64, latency_tu: f64, reward: f64) {
-        let Some(slot) = self.jobs.get_mut(job as usize) else {
+        let Some(rec) = self.jobs.remove(&job) else {
             return;
         };
-        let Some(rec) = slot.take() else {
-            return;
-        };
-        let spans = build_job_spans(self.tenant, job as u32, &rec, at, latency_tu, reward);
+        let spans = build_job_spans(self.tenant, job, &rec, at, latency_tu, reward);
         debug_assert!(spans.conservation_ok(), "segment tiling broken for job {job}");
         self.out.jobs.push(spans);
     }
@@ -182,7 +178,7 @@ impl SpanObserver {
 /// [`JobSpans`] for the invariant this construction guarantees).
 fn build_job_spans(
     tenant: u32,
-    job: u32,
+    job: u64,
     rec: &JobRec,
     completed_tu: f64,
     latency_tu: f64,

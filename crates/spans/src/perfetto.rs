@@ -15,7 +15,8 @@
 //! - `C` counter rows: `queue_depth` per tenant.
 //! - `b`/`e` nestable async rows: `cat:"job"` spanning
 //!   `[submitted, completed]` with `cat:"segment"` children, correlated
-//!   by `id = (tenant << 32) | job` in hex.
+//!   by `id = (tenant << 32) | job` in hex (the platform's job ids are
+//!   `u32`, so the two halves never overlap).
 
 use crate::span::SpanSet;
 use scan_tracestore::{tier_label, EventKind, TraceStore};
@@ -210,7 +211,7 @@ pub fn export(store: &TraceStore, spans: &SpanSet) -> String {
 
     // --- Job spans with nested segments ---------------------------------
     for job in &spans.jobs {
-        let id = (u64::from(job.tenant) << 32) | u64::from(job.job);
+        let id = (u64::from(job.tenant) << 32) | job.job;
         let common = format!("\"cat\":\"job\",\"id\":\"0x{id:x}\",\"pid\":{}", job.tenant);
         w.push(&format!(
             "\"name\":\"job {}\",\"ph\":\"b\",\"ts\":{},{common},\
@@ -250,10 +251,11 @@ pub fn export(store: &TraceStore, spans: &SpanSet) -> String {
     w.finish()
 }
 
-/// A minimal JSON reader used to schema-validate exports in tests (and
-/// by anything else needing to inspect the document without a JSON
-/// dependency). Accepts strict JSON; numbers parse through `f64`.
-pub mod json {
+/// A minimal JSON reader the tests use to schema-validate exports
+/// without a JSON dependency. Accepts strict JSON; numbers parse through
+/// `f64`.
+#[cfg(test)]
+mod json {
     /// A parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]
     pub enum Value {

@@ -50,8 +50,8 @@ impl Segment {
 pub struct JobSpans {
     /// Owning tenant (0 for solo sessions).
     pub tenant: u32,
-    /// Job id (dense per tenant).
-    pub job: u32,
+    /// Job id (dense per tenant; the full `u64` the trace carries).
+    pub job: u64,
     /// When the job was submitted, TU.
     pub submitted_tu: f64,
     /// When the job completed, TU.
@@ -211,7 +211,7 @@ mod tests {
     #[test]
     fn slowest_orders_by_latency_then_ids() {
         let mut set = SpanSet::default();
-        for (jid, lat) in [(0u32, 2.0), (1, 5.0), (2, 5.0), (3, 1.0)] {
+        for (jid, lat) in [(0u64, 2.0), (1, 5.0), (2, 5.0), (3, 1.0)] {
             let mut j = job(vec![seg(SegmentKind::Service, 0.0, lat)]);
             j.job = jid;
             set.jobs.push(j);

@@ -27,7 +27,7 @@ filtered_test() {
     fi
 }
 
-echo "==> scan-lint --deny-warnings (determinism + hygiene + metrics doc drift + semantic passes)"
+echo "==> scan-lint --deny-warnings (determinism + hygiene + semantic passes)"
 cargo run -q -p scan-lint -- --deny-warnings
 
 echo "==> scan-lint --json (machine-output schema check)"
@@ -59,7 +59,7 @@ if [[ "$quick" != "quick" ]]; then
     cargo build --release
 fi
 
-echo "==> doc tables (TRACE_SCHEMA / TRACESTORE / SPANS match the code)"
+echo "==> doc tables (TRACE_SCHEMA / TRACESTORE / SPANS / METRICS match the code; every event kind and metric is produced)"
 filtered_test --test doc_tables
 
 echo "==> cargo test -q (tier-1, root package)"

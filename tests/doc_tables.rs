@@ -1,5 +1,5 @@
 //! The reference documents' tables match the code's runtime values, in
-//! both directions:
+//! both directions, and every declared event kind and metric is produced:
 //!
 //! * docs/TRACE_SCHEMA.md — one `### `tag` — `TraceEvent::Variant``
 //!   section per [`TraceEvent::SCHEMA`] entry, whose field rows (name
@@ -10,19 +10,32 @@
 //!   table lists the `Agg` labels;
 //! * docs/SPANS.md — the "Segment taxonomy" table lists the
 //!   `ALL_SEGMENTS` names, and the "SLO metrics" table lists the `slo`
-//!   metric families a session and a fleet actually register.
+//!   metric families the runs below register;
+//! * docs/METRICS.md — the "Metric catalogue" tables list exactly the
+//!   families the runs below register: each in the table of its kind,
+//!   with the code's label key, unit and (for series) series kind;
+//! * coverage — the same runs fill every [`EventKind`] table, take every
+//!   `ScalingChoice`, and update every metric they register.
 //!
-//! A mismatch names the file, the section and the row.
+//! The runs are two instrumented sessions (the configuration pinned by
+//! `golden_fixed_seed_registry_exports`, with and without the private-hire
+//! throttle) and one contended fleet, each with a [`TraceStore`] attached.
+//! A mismatch names the file, the section and the row; a coverage gap
+//! names the event kind or the metric.
 
 use scan::platform::config::{ScanConfig, VariableParams};
 use scan::platform::fleet::{run_fleet_with, FleetConfig};
+use scan::platform::instrument::DEFAULT_WINDOW_TU;
 use scan::platform::Platform;
 use scan::sched::scaling::ScalingPolicy;
-use scan::sim::{NullObserverFactory, ScalingChoice, TraceEvent};
-use scan::tracestore::{columns, Agg, ColumnType, EventKind};
-use scan_metrics::Metrics;
+use scan::sim::{ScalingChoice, TraceEvent};
+use scan::tracestore::{columns, Agg, ColumnType, EventKind, TraceStore, TraceStoreFactory};
+use scan_metrics::{MetricMeta, Metrics, Registry};
 use scan_spans::ALL_SEGMENTS;
-use std::collections::BTreeSet;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
+use std::sync::OnceLock;
 
 /// One markdown heading and the table rows under it (header and
 /// separator rows dropped; fenced code blocks skipped).
@@ -220,28 +233,177 @@ fn check_spans(text: &str, slo_families: &BTreeSet<String>) -> Vec<String> {
     errors
 }
 
-/// The `slo` metric families a short session with the SLO armed and a
-/// small fleet actually register.
-fn registered_slo_families() -> BTreeSet<String> {
-    let mut cfg = ScanConfig::new(VariableParams::fig4(ScalingPolicy::Predictive, 2.0), 7);
-    cfg.fixed.sim_time_tu = 60.0;
-    cfg.slo_target_tu = Some(1.0);
-    let metrics = Metrics::enabled(10.0);
-    let mut platform = Platform::new(cfg.clone(), 0);
-    platform.set_metrics(&metrics);
-    platform.run();
-    let session = metrics.into_registry().expect("registry uniquely owned after the run");
-    let mut fleet = FleetConfig::new(cfg, 2);
-    fleet.jobs_per_tenant = 2;
-    let fleet = run_fleet_with(&fleet, 0, &NullObserverFactory).0.registry();
-    let mut families = BTreeSet::new();
-    for r in [&session, &fleet] {
-        families.extend(r.counters().iter().map(|(m, _)| &m.family));
-        families.extend(r.gauges().iter().map(|(m, _)| &m.family));
-        families.extend(r.histograms().iter().map(|(m, _)| &m.family));
-        families.extend(r.series_entries().iter().map(|(m, _)| &m.family));
+/// What the instrumented runs produced: one registry and one store per
+/// run (two sessions, then the fleet).
+struct Runs {
+    registries: Vec<Registry>,
+    stores: Vec<TraceStore>,
+}
+
+/// The instrumented runs, simulated once and shared by every test here.
+fn runs() -> &'static Runs {
+    static RUNS: OnceLock<Runs> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        let mut cfg = ScanConfig::new(VariableParams::fig4(ScalingPolicy::Predictive, 2.5), 99);
+        cfg.fixed.sim_time_tu = 300.0;
+        cfg.allow_reshape = true;
+        cfg.fixed.private_capacity_cores = 64;
+        cfg.slo_target_tu = Some(10.0);
+        let mut throttled = cfg.clone();
+        throttled.fixed.private_hire_throttle = true;
+        let mut runs = Runs { registries: Vec::new(), stores: Vec::new() };
+        for cfg in [cfg, throttled] {
+            let metrics = Metrics::enabled(DEFAULT_WINDOW_TU);
+            let store = Rc::new(RefCell::new(TraceStore::new()));
+            let mut platform = Platform::new(cfg, 0);
+            platform.set_metrics(&metrics);
+            platform.add_observer(store.clone());
+            platform.run();
+            runs.registries.push(metrics.into_registry().expect("registry uniquely owned"));
+            runs.stores.push(Rc::try_unwrap(store).expect("store uniquely owned").into_inner());
+        }
+        // A shared pool far below fleet demand: the fair-share gate defers
+        // and resumes admissions, and every job misses a tight SLO.
+        let mut base = ScanConfig::new(VariableParams::fig4(ScalingPolicy::Predictive, 0.9), 23);
+        base.fixed.sim_time_tu = 500.0;
+        base.slo_target_tu = Some(1.0);
+        let mut fleet = FleetConfig::new(base, 4);
+        fleet.shared_private_cores = 8;
+        fleet.jobs_per_tenant = 6;
+        let (metrics, stores) = run_fleet_with(&fleet, 0, &TraceStoreFactory::fleet(4));
+        runs.registries.push(metrics.registry());
+        runs.stores.extend(stores);
+        runs
+    })
+}
+
+/// A metric kind: the catalogue `###` table it belongs in.
+#[derive(Clone, Copy)]
+enum MetricKind {
+    Counter,
+    Gauge,
+    Histogram,
+    Series,
+}
+
+impl MetricKind {
+    const ALL: [MetricKind; 4] =
+        [MetricKind::Counter, MetricKind::Gauge, MetricKind::Histogram, MetricKind::Series];
+
+    fn table(self) -> &'static str {
+        match self {
+            MetricKind::Counter => "Counters",
+            MetricKind::Gauge => "Gauges",
+            MetricKind::Histogram => "Histograms",
+            MetricKind::Series => "Series (sim-time-windowed)",
+        }
     }
-    families.into_iter().filter(|f| f.contains("slo")).cloned().collect()
+}
+
+/// One registered metric instance: its catalogue row (family, label key,
+/// then the series kind for series, then the unit) and whether the run
+/// updated it.
+struct Registered<'a> {
+    meta: &'a MetricMeta,
+    row: Vec<String>,
+    updated: bool,
+}
+
+/// Every metric instance `r` registered, of one kind. A counter counts
+/// as updated when it is positive, a gauge when it was set off zero, a
+/// histogram when it holds a sample and a series when a window
+/// accumulated a nonzero value (`finish` gives even an untouched series
+/// its windows).
+fn registered(r: &Registry, kind: MetricKind) -> Vec<Registered<'_>> {
+    fn one<'a>(meta: &'a MetricMeta, series_kind: Option<&str>, updated: bool) -> Registered<'a> {
+        let label = if meta.label_key.is_empty() { "{}" } else { meta.label_key };
+        let mut row = vec![meta.family.clone(), format!("`{label}`")];
+        row.extend(series_kind.map(str::to_string));
+        row.push(meta.unit.to_string());
+        Registered { meta, row, updated }
+    }
+    match kind {
+        MetricKind::Counter => r.counters().iter().map(|(m, v)| one(m, None, *v > 0)).collect(),
+        MetricKind::Gauge => r.gauges().iter().map(|(m, v)| one(m, None, *v != 0.0)).collect(),
+        MetricKind::Histogram => {
+            r.histograms().iter().map(|(m, h)| one(m, None, h.count() > 0)).collect()
+        }
+        MetricKind::Series => r
+            .series_entries()
+            .iter()
+            .map(|(m, s)| {
+                let updated = s.accumulators().iter().any(|&(v, _)| v != 0.0);
+                one(m, Some(s.kind().name()), updated)
+            })
+            .collect(),
+    }
+}
+
+fn check_metrics(text: &str, families: &[BTreeSet<Vec<String>>]) -> Vec<String> {
+    const FILE: &str = "docs/METRICS.md";
+    const PARENT: &str = "Metric catalogue";
+    let (all, mut errors) = (sections(text), Vec::new());
+    let titles: Vec<String> = MetricKind::ALL.iter().map(|k| k.table().to_string()).collect();
+    for (rows, title) in families.iter().zip(&titles) {
+        if let Some(section) = find(FILE, &all, PARENT, title, &mut errors) {
+            let rows: Vec<Vec<&str>> =
+                rows.iter().map(|r| r.iter().map(String::as_str).collect()).collect();
+            compare(FILE, section, &rows, &mut errors);
+        }
+    }
+    no_phantoms(FILE, &all, PARENT, &titles, &mut errors);
+    errors
+}
+
+/// The coverage gaps of the runs: event kinds no run stored, scaling
+/// choices no decision took, metrics registered but never updated.
+fn coverage_gaps(runs: &Runs) -> Vec<String> {
+    let mut gaps = Vec::new();
+    for kind in EventKind::ALL {
+        if runs.stores.iter().all(|s| s.table(kind).is_empty()) {
+            gaps.push(format!("no run stored a `{}` row (EventKind::{kind:?})", kind.tag()));
+        }
+    }
+    let taken: BTreeSet<&str> = runs
+        .stores
+        .iter()
+        .flat_map(|s| s.table(EventKind::ScalingDecision).labels("choice"))
+        .collect();
+    for choice in ScalingChoice::ALL {
+        if !taken.contains(choice.name()) {
+            gaps.push(format!("no `scaling_decision` row took choice `{}`", choice.name()));
+        }
+    }
+    // A family is live once any run updated any of its label values:
+    // label values such as `tenant` depend on the run's geometry.
+    for kind in MetricKind::ALL {
+        let mut families: BTreeMap<&str, bool> = BTreeMap::new();
+        for m in runs.registries.iter().flat_map(|r| registered(r, kind)) {
+            *families.entry(m.meta.family.as_str()).or_default() |= m.updated;
+        }
+        for (family, _) in families.into_iter().filter(|(_, updated)| !updated) {
+            gaps.push(format!("{} § `{family}` is registered but no run updated it", kind.table()));
+        }
+    }
+    gaps
+}
+
+/// The catalogue rows of every family the runs registered, one set per
+/// kind in [`MetricKind::ALL`] order.
+fn catalogue() -> Vec<BTreeSet<Vec<String>>> {
+    let rows =
+        |kind| runs().registries.iter().flat_map(move |r| registered(r, kind)).map(|m| m.row);
+    MetricKind::ALL.map(|kind| rows(kind).collect()).to_vec()
+}
+
+/// The `slo` metric families the runs register.
+fn registered_slo_families() -> BTreeSet<String> {
+    catalogue()
+        .into_iter()
+        .flatten()
+        .map(|row| row[0].clone())
+        .filter(|f| f.contains("slo"))
+        .collect()
 }
 
 fn doc(name: &str) -> String {
@@ -278,6 +440,22 @@ fn spans_matches_the_segments_and_registered_slo_families() {
 }
 
 #[test]
+fn metrics_matches_the_registered_families() {
+    let families = catalogue();
+    for (rows, kind) in families.iter().zip(MetricKind::ALL) {
+        assert!(!rows.is_empty(), "the runs registered no {}", kind.table());
+    }
+    let errors = check_metrics(&doc("METRICS.md"), &families);
+    assert!(errors.is_empty(), "{}", errors.join("\n"));
+}
+
+#[test]
+fn every_declared_event_and_metric_is_produced() {
+    let gaps = coverage_gaps(runs());
+    assert!(gaps.is_empty(), "{}", gaps.join("\n"));
+}
+
+#[test]
 fn a_deleted_field_row_is_reported() {
     let row = "| `size_units` | f64 | dataset size in abstract size units |\n";
     let text = doc("TRACE_SCHEMA.md");
@@ -311,4 +489,36 @@ fn a_renamed_segment_is_reported() {
     let errors = check_spans(&text, &slo);
     assert_reported(&errors, &["docs/SPANS.md", "Segment taxonomy", "no row for `fan_in`"]);
     assert_reported(&errors, &["docs/SPANS.md", "Segment taxonomy", "row `fan_out` is not in"]);
+}
+
+#[test]
+fn a_metric_catalogue_drift_is_reported() {
+    let text = doc("METRICS.md");
+    let row = text
+        .lines()
+        .find(|l| l.starts_with("| `vm_reshaped_total` |"))
+        .expect("METRICS.md documents vm_reshaped_total")
+        .to_string();
+    let families = catalogue();
+    let errors = check_metrics(&text.replacen(&format!("{row}\n"), "", 1), &families);
+    assert_reported(&errors, &["docs/METRICS.md", "Counters", "no row for `vm_reshaped_total`"]);
+
+    let retyped = text.replacen(&row, &row.replacen("| 1 |", "| tu |", 1), 1);
+    let errors = check_metrics(&retyped, &families);
+    assert_reported(&errors, &["docs/METRICS.md", "Counters", "row `vm_reshaped_total` says"]);
+
+    let mut undocumented = families.clone();
+    undocumented[2].insert(["ghost_tu", "`{}`", "tu"].map(String::from).to_vec());
+    let errors = check_metrics(&text, &undocumented);
+    assert_reported(&errors, &["docs/METRICS.md", "Histograms", "no row for `ghost_tu`"]);
+}
+
+#[test]
+fn a_coverage_gap_is_reported() {
+    let mut idle = Registry::new(1.0);
+    idle.counter("idle_total", "tier", "public", "1", "Never updated");
+    let gaps = coverage_gaps(&Runs { registries: vec![idle], stores: vec![TraceStore::new()] });
+    assert_reported(&gaps, &["Counters", "`idle_total`", "no run updated it"]);
+    assert_reported(&gaps, &["`vm_reshaped` row", "EventKind::VmReshaped"]);
+    assert_reported(&gaps, &["choice `throttled_private`"]);
 }

@@ -103,8 +103,8 @@ fn store_agrees_with_the_jsonl_sink() {
     assert_eq!(rows[0].value, dispatched as f64);
 
     // The export is dramatically smaller than the JSONL for the same
-    // stream (the full ≥5x criterion is measured on fig4 artefacts by
-    // scripts/bench.sh; this is the in-process sanity floor).
+    // stream (perfbench's `explain-session` reports the full session's
+    // `tracestore.export_bytes`; this is the in-process sanity floor).
     let jsonl_len: usize = lines.iter().map(|l| l.len() + 1).sum();
     let scts_len = both.store.to_bytes().len();
     assert!(
